@@ -5,7 +5,7 @@ from .dataset import (ConfigError, DataError, Dataset, DatasetSummary,
                       FeatureKind, IngestConfig, load_table,
                       infer_feature_kinds, summarize)
 from .hpd import HpdConfig
-from .model import Filters, Heuristic, Interval, IntervalUnion, Slice, SliceStats, ValueSet
+from .model import Filters, Heuristic, Interval, Slice, SliceStats, ValueSet
 from .report import RunReport, build_report, render
 from .slicer import (AnalysisConfig, AnalysisResult, evaluate_slice,
                      filter_and_rank, generate_higher_order, generate_one_way,
@@ -26,7 +26,6 @@ __all__ = [
     "HpdConfig",
     "IngestConfig",
     "Interval",
-    "IntervalUnion",
     "RunReport",
     "Slice",
     "SliceStats",

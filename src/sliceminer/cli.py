@@ -3,7 +3,8 @@
 Every knob has a flag; defaults can also be overridden through environment
 variables prefixed SLICEMINER_ (e.g. SLICEMINER_PVALUE=0.01 changes the
 default of --pvalue).  Exit codes: 0 success (zero slices found is success),
-1 usage or configuration error, 2 data error.
+1 usage or configuration error, 2 data error.  Configuration is checked
+before any input is read, so a bad knob exits 1 even when the input is bad.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,55 +25,32 @@ from .model import Heuristic, Interval
 from .report import build_report, render
 from .slicer import AnalysisConfig, run_analysis
 
-__all__ = ["RunConfig", "run", "self_check", "main"]
+__all__ = ["run", "self_check", "main"]
 
 _FORMATS = ("json", "markdown", "csv")
-_HEURISTIC_NAMES = ("categorical", "dt", "hpd")
+_HEURISTIC_NAMES = tuple(sorted(h.value for h in Heuristic))
+_ANALYSIS = AnalysisConfig()
+_INGEST = {f.name: f.default for f in fields(IngestConfig)}
 
 
-@dataclass
-class RunConfig:
-    input: str
-    ground_truth: str
-    prediction: str
-    heuristics: tuple[str, ...] = _HEURISTIC_NAMES
-    max_order: int = 2
-    p_value_max: float = 0.05
-    gap: float = 0.04
-    support_fraction: float = 0.05
-    support_floor: int = 2
-    epsilon: float = 0.05
-    initial_density: float = 0.90
-    min_density_floor: float = 0.10
-    ci_level: float = 0.95
-    categorical: tuple[str, ...] = ()
-    continuous: tuple[str, ...] = ()
-    all_numeric: bool = False
-    categorical_threshold: int = 10
-    delimiter: str = ","
-    missing_token: str = ""
-    format: str = "json"
-    out: str | None = None
-    workers: int = 1
+class _EnvValue(str):
+    """A default read from a SLICEMINER_* variable.  argparse converts
+    string defaults with the flag's ``type`` and quotes the value's repr when
+    that fails, so the repr names the variable."""
 
-    def validate(self) -> None:
-        if self.format not in _FORMATS:
-            raise ConfigError(f"unknown format {self.format!r}; "
-                              f"choose from {', '.join(_FORMATS)}")
-        unknown = set(self.heuristics) - set(_HEURISTIC_NAMES)
-        if unknown or not self.heuristics:
-            raise ConfigError(f"heuristics must be a nonempty subset of "
-                              f"{', '.join(_HEURISTIC_NAMES)}")
-        overlap = set(self.categorical) & set(self.continuous)
-        if overlap:
-            raise ConfigError(f"columns marked both categorical and continuous: "
-                              f"{', '.join(sorted(overlap))}")
-        if self.categorical_threshold < 0:
-            raise ConfigError("categorical threshold must be >= 0")
+    def __new__(cls, variable: str, raw: str):
+        value = super().__new__(cls, raw)
+        value.variable = variable
+        return value
+
+    def __repr__(self) -> str:
+        return f"{super().__repr__()} from {self.variable}"
 
 
 def _env(name: str, fallback):
-    return os.environ.get(f"SLICEMINER_{name}", fallback)
+    variable = f"SLICEMINER_{name}"
+    raw = os.environ.get(variable)
+    return fallback if raw is None else _EnvValue(variable, raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,35 +66,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="name of the ground-truth column")
     parser.add_argument("-p", "--prediction", default=_env("PREDICTION", None),
                         help="name of the model-prediction column")
-    parser.add_argument("--heuristics", default=_env("HEURISTICS", "categorical,dt,hpd"),
+    parser.add_argument("--heuristics",
+                        default=_env("HEURISTICS", ",".join(sorted(
+                            h.value for h in _ANALYSIS.heuristics))),
                         help="comma-separated subset of categorical,dt,hpd "
                              "(default: %(default)s)")
-    parser.add_argument("--max-order", type=int, default=int(_env("MAX_ORDER", 2)),
+    parser.add_argument("--max-order", type=int,
+                        default=_env("MAX_ORDER", _ANALYSIS.max_order),
                         help="largest feature interaction, 1-3 (default: %(default)s)")
-    parser.add_argument("--pvalue", type=float, default=float(_env("PVALUE", 0.05)),
+    parser.add_argument("--pvalue", type=float,
+                        default=_env("PVALUE", _ANALYSIS.p_value_max),
                         help="significance threshold (default: %(default)s)")
-    parser.add_argument("--gap", type=float, default=float(_env("GAP", 0.04)),
+    parser.add_argument("--gap", type=float, default=_env("GAP", _ANALYSIS.gap),
                         help="under-performance gap below the CI lower bound, "
                              "absolute points (default: %(default)s)")
     parser.add_argument("--support-fraction", type=float,
-                        default=float(_env("SUPPORT_FRACTION", 0.05)),
+                        default=_env("SUPPORT_FRACTION", _ANALYSIS.support_fraction),
                         help="minimal support as a fraction of mispredicted "
                              "records (default: %(default)s)")
     parser.add_argument("--support-floor", type=int,
-                        default=int(_env("SUPPORT_FLOOR", 2)),
+                        default=_env("SUPPORT_FLOOR", _ANALYSIS.support_floor),
                         help="absolute minimal support floor (default: %(default)s)")
-    parser.add_argument("--epsilon", type=float, default=float(_env("EPSILON", 0.05)),
+    parser.add_argument("--epsilon", type=float,
+                        default=_env("EPSILON", _ANALYSIS.hpd.epsilon),
                         help="density step of the interval shrink loop "
                              "(default: %(default)s)")
     parser.add_argument("--initial-density", type=float,
-                        default=float(_env("INITIAL_DENSITY", 0.90)),
+                        default=_env("INITIAL_DENSITY", _ANALYSIS.hpd.initial_density),
                         help="starting density of the interval search "
                              "(default: %(default)s)")
     parser.add_argument("--min-density-floor", type=float,
-                        default=float(_env("MIN_DENSITY_FLOOR", 0.10)),
+                        default=_env("MIN_DENSITY_FLOOR",
+                                     _ANALYSIS.hpd.min_density_floor),
                         help="stop once fewer than this fraction of records "
                              "remains (default: %(default)s)")
-    parser.add_argument("--ci-level", type=float, default=float(_env("CI_LEVEL", 0.95)),
+    parser.add_argument("--ci-level", type=float,
+                        default=_env("CI_LEVEL", _ANALYSIS.ci_level),
                         help="confidence level of the dataset interval "
                              "(default: %(default)s)")
     parser.add_argument("--categorical", action="append", default=None,
@@ -129,19 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env("ALL_NUMERIC", "") == "1",
                         help="treat every numeric-parseable column as continuous")
     parser.add_argument("--categorical-threshold", type=int,
-                        default=int(_env("CATEGORICAL_THRESHOLD", 10)),
+                        default=_env("CATEGORICAL_THRESHOLD",
+                                     _INGEST["categorical_threshold"]),
                         help="max distinct values for a numeric column to count "
                              "as categorical (default: %(default)s)")
-    parser.add_argument("--delimiter", default=_env("DELIMITER", ","),
+    parser.add_argument("--delimiter",
+                        default=_env("DELIMITER", _INGEST["delimiter"]),
                         help="field delimiter (default: ',')")
-    parser.add_argument("--missing-token", default=_env("MISSING_TOKEN", ""),
+    parser.add_argument("--missing-token",
+                        default=_env("MISSING_TOKEN", _INGEST["missing_token"]),
                         help="extra token treated as missing besides the empty "
                              "field (default: empty)")
     parser.add_argument("--format", default=_env("FORMAT", "json"),
                         choices=_FORMATS, help="output format (default: %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--workers", type=int, default=int(_env("WORKERS", 1)),
+    parser.add_argument("--workers", type=int,
+                        default=_env("WORKERS", _ANALYSIS.workers),
                         help="parallel workers for candidate generation; 1 is "
                              "fully sequential (default: %(default)s)")
     parser.add_argument("--self-check", action="store_true",
@@ -156,21 +145,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def run(config: RunConfig) -> int:
+def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
+        format: str = "json", out: str | None = None) -> int:
     """Execute one analysis run; returns the process exit code."""
-    config.validate()
-    overrides = {name: FeatureKind.CATEGORICAL for name in config.categorical}
-    overrides.update({name: FeatureKind.CONTINUOUS for name in config.continuous})
-    ingest = IngestConfig(
-        ground_truth=config.ground_truth,
-        prediction=config.prediction,
-        delimiter=config.delimiter,
-        missing_token=config.missing_token,
-        categorical_threshold=config.categorical_threshold,
-        overrides=overrides,
-        all_numeric=config.all_numeric,
-    )
-    dataset = load_table(config.input, ingest)
+    dataset = load_table(path, ingest)
     if dataset.rejected_rows:
         rows = ", ".join(str(r) for r in dataset.rejected_rows[:20])
         more = "" if len(dataset.rejected_rows) <= 20 else ", ..."
@@ -178,19 +156,6 @@ def run(config: RunConfig) -> int:
               f"missing ground truth or prediction (lines {rows}{more})",
               file=sys.stderr)
 
-    analysis = AnalysisConfig(
-        heuristics=frozenset(Heuristic(h) for h in config.heuristics),
-        max_order=config.max_order,
-        hpd=HpdConfig(initial_density=config.initial_density,
-                      epsilon=config.epsilon,
-                      min_density_floor=config.min_density_floor),
-        p_value_max=config.p_value_max,
-        gap=config.gap,
-        support_fraction=config.support_fraction,
-        support_floor=config.support_floor,
-        ci_level=config.ci_level,
-        workers=config.workers,
-    )
     result = run_analysis(dataset, analysis)
 
     for (heuristic, order) in sorted(set(result.candidate_counts)
@@ -201,18 +166,62 @@ def run(config: RunConfig) -> int:
               f"{cand} candidates, {rep} reported", file=sys.stderr)
 
     report = build_report(result, dataset, extra_config={
-        "ground_truth": config.ground_truth,
-        "prediction": config.prediction,
-        "all_numeric": config.all_numeric,
-        "categorical_threshold": config.categorical_threshold,
+        "ground_truth": ingest.ground_truth,
+        "prediction": ingest.prediction,
+        "all_numeric": ingest.all_numeric,
+        "categorical_threshold": ingest.categorical_threshold,
     })
-    text = render(report, config.format)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    text = render(report, format)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
+    """Check the parsed flags and build the run's configs; reads no input."""
+    if args.format not in _FORMATS:  # argparse skips choices for defaults
+        raise ConfigError(f"unknown format {args.format!r}; "
+                          f"choose from {', '.join(_FORMATS)}")
+    heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
+    if not heuristics or set(heuristics) - set(_HEURISTIC_NAMES):
+        raise ConfigError(f"heuristics must be a nonempty subset of "
+                          f"{', '.join(_HEURISTIC_NAMES)}")
+    categorical = args.categorical or ()
+    continuous = args.continuous or ()
+    overlap = set(categorical) & set(continuous)
+    if overlap:
+        raise ConfigError(f"columns marked both categorical and continuous: "
+                          f"{', '.join(sorted(overlap))}")
+    if args.categorical_threshold < 0:
+        raise ConfigError("categorical threshold must be >= 0")
+    overrides = {name: FeatureKind.CATEGORICAL for name in categorical}
+    overrides.update({name: FeatureKind.CONTINUOUS for name in continuous})
+    ingest = IngestConfig(
+        ground_truth=args.ground_truth,
+        prediction=args.prediction,
+        delimiter=args.delimiter,
+        missing_token=args.missing_token,
+        categorical_threshold=args.categorical_threshold,
+        overrides=overrides,
+        all_numeric=args.all_numeric,
+    )
+    analysis = AnalysisConfig(
+        heuristics=frozenset(Heuristic(h) for h in heuristics),
+        max_order=args.max_order,
+        hpd=HpdConfig(initial_density=args.initial_density,
+                      epsilon=args.epsilon,
+                      min_density_floor=args.min_density_floor),
+        p_value_max=args.pvalue,
+        gap=args.gap,
+        support_fraction=args.support_fraction,
+        support_floor=args.support_floor,
+        ci_level=args.ci_level,
+        workers=args.workers,
+    )
+    return ingest, analysis
 
 
 def self_check(verbose: bool = True) -> int:
@@ -285,32 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--ground-truth is required")
     if not args.prediction:
         parser.error("--prediction is required")
-    config = RunConfig(
-        input=args.input,
-        ground_truth=args.ground_truth,
-        prediction=args.prediction,
-        heuristics=tuple(h.strip() for h in args.heuristics.split(",") if h.strip()),
-        max_order=args.max_order,
-        p_value_max=args.pvalue,
-        gap=args.gap,
-        support_fraction=args.support_fraction,
-        support_floor=args.support_floor,
-        epsilon=args.epsilon,
-        initial_density=args.initial_density,
-        min_density_floor=args.min_density_floor,
-        ci_level=args.ci_level,
-        categorical=tuple(args.categorical or ()),
-        continuous=tuple(args.continuous or ()),
-        all_numeric=args.all_numeric,
-        categorical_threshold=args.categorical_threshold,
-        delimiter=args.delimiter,
-        missing_token=args.missing_token,
-        format=args.format,
-        out=args.out,
-        workers=args.workers,
-    )
     try:
-        return run(config)
+        ingest, analysis = _configs(args)
+        return run(args.input, ingest, analysis, args.format, args.out)
     except ConfigError as exc:
         print(f"sliceminer: error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import best_split_scan
-from .model import Filters, Heuristic, Interval, IntervalUnion, Slice, ValueSet
+from .model import Filters, Heuristic, Interval, Slice, ValueSet, make_slice
 from .dataset import FeatureKind
 
 __all__ = ["DtConfig", "TreeNode", "gini", "best_split", "fit_tree", "extract_slices"]
@@ -24,15 +24,12 @@ __all__ = ["DtConfig", "TreeNode", "gini", "best_split", "fit_tree", "extract_sl
 class DtConfig:
     min_leaf: int
     max_depth: int = 5
-    max_order: int = 2
 
     def __post_init__(self):
         if self.min_leaf < 1:
             raise ValueError(f"min_leaf must be positive, got {self.min_leaf}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be positive, got {self.max_depth}")
-        if not 1 <= self.max_order <= 3:
-            raise ValueError(f"max_order must be 1..3, got {self.max_order}")
 
 
 @dataclass
@@ -168,10 +165,9 @@ def extract_slices(tree: TreeNode, features: Sequence[tuple[str, np.ndarray]],
                               for c in codes)
                 predicates[name] = ValueSet(codes=codes, labels=names)
             else:
-                predicates[name] = IntervalUnion(intervals=(
-                    Interval(float(member_vals.min()), float(member_vals.max())),))
-        items = tuple(sorted(predicates.items()))
-        sl = Slice(predicates=items, heuristic=Heuristic.DT, order=len(items))
+                predicates[name] = Interval(float(member_vals.min()),
+                                            float(member_vals.max()))
+        sl = make_slice(predicates, Heuristic.DT)
         key = sl.predicate_key()
         prior = harvested.get(key)
         if prior is None or n > prior[0]:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._kernels import min_width_window
 from .model import Interval
 
-__all__ = ["HpdConfig", "HpdCandidate", "shortest_interval", "shrink_step", "hpd_scan"]
+__all__ = ["HpdConfig", "shortest_interval", "shrink_step", "hpd_scan"]
 
 # accuracy deltas at or below this are treated as ties (neither branch emits)
 _TIE_TOLERANCE = 1e-12
@@ -40,14 +40,6 @@ class HpdConfig:
         if not 0.0 < self.epsilon < self.initial_density:
             raise ValueError(
                 f"need 0 < epsilon < initial_density, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class HpdCandidate:
-    feature: str
-    interval: Interval
-    support: int
-    correct: int
 
 
 def shortest_interval(sorted_values: np.ndarray, proportion: float) -> Interval:
@@ -95,16 +87,13 @@ def shrink_step(sorted_values: np.ndarray, current: Interval,
     return inner, left_strip, right_strip
 
 
-def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig,
-             *, feature: str = "",
-             evaluate: Callable[[float, float], tuple[int, int]] | None = None,
-             ) -> list[HpdCandidate]:
+def hpd_scan(values: np.ndarray, correctness: np.ndarray,
+             config: HpdConfig) -> list[Interval]:
     """Run the shrink loop over one numeric feature.
 
     ``values`` may contain NaN for missing entries; those records are ignored.
-    Every candidate carries (support, correct) recomputed by closed-interval
-    membership over the full non-missing sample, or by the ``evaluate``
-    callback when one is supplied.
+    Every emitted bound is an actual value, so each interval holds at least
+    one record of the full non-missing sample.
     """
     vals = np.asarray(values, dtype=np.float64)
     corr = np.asarray(correctness, dtype=bool)
@@ -114,31 +103,16 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig,
         return []
 
     order = np.argsort(vals, kind="stable")
-    all_values = vals[order]
-    all_correct = corr[order]
-    original = all_values.size
+    work_v, work_c = vals[order], corr[order]
+    original = work_v.size
     stop_records = config.min_density_floor * original
-
-    if evaluate is None:
-        def evaluate(low: float, high: float) -> tuple[int, int]:
-            lo = int(np.searchsorted(all_values, low, side="left"))
-            hi = int(np.searchsorted(all_values, high, side="right"))
-            return hi - lo, int(all_correct[lo:hi].sum())
-
-    out: list[HpdCandidate] = []
-
-    def emit(interval: Interval) -> None:
-        n, k = evaluate(interval.low, interval.high)
-        if n > 0:
-            out.append(HpdCandidate(feature=feature, interval=interval,
-                                    support=n, correct=k))
+    out: list[Interval] = []
 
     def span_accuracy(work_v, work_c, interval: Interval) -> float:
         lo = int(np.searchsorted(work_v, interval.low, side="left"))
         hi = int(np.searchsorted(work_v, interval.high, side="right"))
         return float(work_c[lo:hi].mean())
 
-    work_v, work_c = all_values, all_correct
     while work_v.size >= 2 and work_v.size >= stop_records:
         density = config.initial_density
         # the shrink budget scales with how much of the original sample is left
@@ -149,17 +123,15 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig,
             next_density = density - config.epsilon
             if next_density < density_floor:
                 break
-            if math.ceil(next_density * work_v.size) < 1:
-                break
             inner, left_strip, right_strip = shrink_step(work_v, prev, next_density)
             inner_acc = span_accuracy(work_v, work_c, inner)
             if inner_acc < prev_acc - _TIE_TOLERANCE:
-                emit(inner)
+                out.append(inner)
             elif inner_acc > prev_acc + _TIE_TOLERANCE:
                 if left_strip is not None:
-                    emit(left_strip)
+                    out.append(left_strip)
                 if right_strip is not None:
-                    emit(right_strip)
+                    out.append(right_strip)
             prev, prev_acc, density = inner, inner_acc, next_density
         dropped = prev.contains(work_v)
         if dropped.all():

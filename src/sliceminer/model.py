@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
@@ -11,7 +10,6 @@ import numpy as np
 
 __all__ = [
     "Interval",
-    "IntervalUnion",
     "ValueSet",
     "FeaturePredicate",
     "Heuristic",
@@ -22,7 +20,7 @@ __all__ = [
 
 
 class Interval(NamedTuple):
-    """Closed interval over actual data values."""
+    """Closed interval over actual data values; a continuous predicate."""
 
     low: float
     high: float
@@ -39,31 +37,6 @@ class Heuristic(str, Enum):
     CATEGORICAL = "categorical"
     HPD = "hpd"
     DT = "dt"
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Union of pairwise-disjoint closed intervals, sorted ascending."""
-
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("IntervalUnion needs at least one interval")
-        for iv in self.intervals:
-            if not (math.isfinite(iv.low) and math.isfinite(iv.high)):
-                raise ValueError(f"non-finite interval bound: {iv}")
-            if iv.low > iv.high:
-                raise ValueError(f"inverted interval: {iv}")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if b.low <= a.high:
-                raise ValueError(f"intervals overlap or are unsorted: {a}, {b}")
-
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        mask = np.zeros(values.shape, dtype=bool)
-        for iv in self.intervals:
-            mask |= iv.contains(values)
-        return mask
 
 
 @dataclass(frozen=True)
@@ -85,7 +58,7 @@ class ValueSet:
         return np.isin(codes, np.asarray(self.codes))
 
 
-FeaturePredicate = Union[IntervalUnion, ValueSet]
+FeaturePredicate = Union[Interval, ValueSet]
 
 
 @dataclass(frozen=True)
@@ -115,13 +88,9 @@ class Slice:
 
     def predicate_key(self) -> tuple:
         """Canonical key identifying the predicate, ignoring provenance."""
-        parts = []
-        for name, pred in self.predicates:
-            if isinstance(pred, ValueSet):
-                parts.append((name, "set", pred.codes))
-            else:
-                parts.append((name, "union", tuple(pred.intervals)))
-        return tuple(parts)
+        return tuple((name, "set", pred.codes) if isinstance(pred, ValueSet)
+                     else (name, "interval", pred)
+                     for name, pred in self.predicates)
 
 
 def make_slice(predicates: dict[str, FeaturePredicate],

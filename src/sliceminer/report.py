@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dataset import Dataset, DatasetSummary, FeatureKind
-from .model import (FeaturePredicate, Filters, Interval, IntervalUnion,
-                    Slice, SliceStats, ValueSet)
+from .model import (FeaturePredicate, Filters, Interval, Slice, SliceStats,
+                    ValueSet)
 from .slicer import AnalysisResult
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _DASH = "–"   # en dash between interval bounds
-_UNION = " ∪ "  # set-union joiner between intervals
+# labels holding "∪" are quoted too: their rendered bytes are report format
 _NEEDS_QUOTE = set(',()"') | {_DASH, "∪"}
 
 
@@ -91,15 +91,13 @@ def render_predicate(pred: FeaturePredicate) -> str:
         if len(rendered) == 1:
             return rendered[0]
         return "(" + ", ".join(rendered) + ")"
-    spans = [f"{_format_number(iv.low)}{_DASH}{_format_number(iv.high)}"
-             for iv in pred.intervals]
-    return _UNION.join(spans)
+    return f"{_format_number(pred.low)}{_DASH}{_format_number(pred.high)}"
 
 
 def parse_predicate(text: str, kind: FeatureKind,
                     labels: Sequence[str] = ()) -> FeaturePredicate:
     """Invert render_predicate given the feature kind (and its labels when
-    categorical)."""
+    categorical).  An interval must be one finite, non-inverted span."""
     if kind is FeatureKind.CATEGORICAL:
         body = text[1:-1] if text.startswith("(") and text.endswith(")") else text
         wanted = _split_labels(body)
@@ -110,13 +108,15 @@ def parse_predicate(text: str, kind: FeatureKind,
             raise ValueError(f"unknown category label {exc.args[0]!r}") from None
         return ValueSet(codes=tuple(codes),
                         labels=tuple(labels[c] for c in codes))
-    intervals = []
-    for span in text.split(_UNION):
-        low_text, dash, high_text = span.partition(_DASH)
-        if not dash:
-            raise ValueError(f"malformed interval span: {span!r}")
-        intervals.append(Interval(float(low_text), float(high_text)))
-    return IntervalUnion(intervals=tuple(intervals))
+    low_text, dash, high_text = text.partition(_DASH)
+    if not dash:
+        raise ValueError(f"malformed interval span: {text!r}")
+    interval = Interval(float(low_text), float(high_text))
+    if not (math.isfinite(interval.low) and math.isfinite(interval.high)):
+        raise ValueError(f"non-finite interval bound: {text!r}")
+    if interval.low > interval.high:
+        raise ValueError(f"inverted interval: {text!r}")
+    return interval
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,14 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dtree, hpd
 from .dataset import Dataset, DatasetSummary, FeatureKind, summarize
 from .hpd import HpdConfig
-from .model import (Filters, Heuristic, Interval, IntervalUnion, Slice,
-                    SliceStats, ValueSet, make_slice)
+from .model import Filters, Heuristic, Slice, SliceStats, ValueSet, make_slice
 from .stats import hypergeom_lower_pvalue
 
 __all__ = [
@@ -90,8 +89,7 @@ class AnalysisResult:
     config: AnalysisConfig
 
 
-def min_support(summary: DatasetSummary, fraction: float = 0.05,
-                floor: int = 2) -> int:
+def min_support(summary: DatasetSummary, fraction: float, floor: int) -> int:
     """max(floor, ceil(fraction * mispredicted records))."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
@@ -101,7 +99,7 @@ def min_support(summary: DatasetSummary, fraction: float = 0.05,
     return max(floor, math.ceil(fraction * mispredicted))
 
 
-def perf_threshold(summary: DatasetSummary, gap: float = 0.04) -> float:
+def perf_threshold(summary: DatasetSummary, gap: float) -> float:
     """CI lower bound minus the gap (absolute points), clamped to [0, 1]."""
     if gap < 0.0:
         raise ValueError(f"gap must be >= 0, got {gap}")
@@ -165,37 +163,38 @@ def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
     return merged
 
 
-def _categorical_value_slices(name: str, labels: tuple[str, ...],
-                              codes_present: Sequence[int]) -> list[Slice]:
-    return [make_slice({name: ValueSet(codes=(int(code),),
-                                       labels=(labels[int(code)],))},
-                       Heuristic.CATEGORICAL)
-            for code in codes_present]
+def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
+                      name: str, config: AnalysisConfig
+                      ) -> Callable[[], list[Slice]]:
+    """Single-feature analysis of ``name`` over the records in ``mask``:
+    one slice per category value present, or one per HPD interval, each
+    conjoined with the ``base`` predicates."""
+    def task() -> list[Slice]:
+        if dataset.kind(name) is FeatureKind.CATEGORICAL:
+            if Heuristic.CATEGORICAL not in config.heuristics:
+                return []
+            codes = dataset.codes_for(name)[mask]
+            labels = dataset.labels_for(name)
+            return [make_slice({**base, name: ValueSet(codes=(code,),
+                                                       labels=(labels[code],))},
+                               Heuristic.CATEGORICAL)
+                    for code in np.unique(codes[codes >= 0]).tolist()]
+        if Heuristic.HPD not in config.heuristics:
+            return []
+        intervals = hpd.hpd_scan(dataset.numeric_view(name)[mask],
+                                 dataset.correctness[mask], config.hpd)
+        return [make_slice({**base, name: interval}, Heuristic.HPD)
+                for interval in intervals]
+    return task
 
 
 def generate_one_way(dataset: Dataset, config: AnalysisConfig) -> list[Slice]:
-    """Single-feature candidates: every categorical value, plus the HPD scan
-    over every continuous feature."""
-
-    def scan(name: str) -> Callable[[], list[Slice]]:
-        def task() -> list[Slice]:
-            kind = dataset.kind(name)
-            if kind is FeatureKind.CATEGORICAL:
-                if Heuristic.CATEGORICAL not in config.heuristics:
-                    return []
-                labels = dataset.labels_for(name)
-                return _categorical_value_slices(name, labels, range(len(labels)))
-            if Heuristic.HPD not in config.heuristics:
-                return []
-            candidates = hpd.hpd_scan(dataset.numeric_view(name),
-                                      dataset.correctness, config.hpd,
-                                      feature=name)
-            return [make_slice({name: IntervalUnion(intervals=(c.interval,))},
-                               Heuristic.HPD)
-                    for c in candidates]
-        return task
-
-    tasks = [scan(name) for name in dataset.feature_names]
+    """Single-feature candidates: conditioning on the whole dataset, which
+    yields every categorical value (labels come from present values only)
+    and the HPD scan over every continuous feature."""
+    everyone = np.ones(dataset.n_records, dtype=bool)
+    tasks = [_conditioned_task(dataset, everyone, {}, name, config)
+             for name in dataset.feature_names]
     return _run_tasks(tasks, config.workers)
 
 
@@ -205,42 +204,9 @@ def _conditioned_tasks(dataset: Dataset, seeds: Sequence[Slice],
     for seed in seeds:
         seed_mask = membership(dataset, seed)
         base = dict(seed.predicates)
-        for name in dataset.feature_names:
-            if name in base:
-                continue
-            tasks.append(_make_conditioned_task(dataset, seed_mask, base,
-                                                name, config))
+        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config)
+                     for name in dataset.feature_names if name not in base)
     return tasks
-
-
-def _make_conditioned_task(dataset: Dataset, seed_mask: np.ndarray,
-                           base: dict, name: str,
-                           config: AnalysisConfig) -> Callable[[], list[Slice]]:
-    def task() -> list[Slice]:
-        kind = dataset.kind(name)
-        out = []
-        if kind is FeatureKind.CATEGORICAL:
-            if Heuristic.CATEGORICAL not in config.heuristics:
-                return []
-            codes = dataset.codes_for(name)[seed_mask]
-            labels = dataset.labels_for(name)
-            present = np.unique(codes[codes >= 0])
-            for code in present:
-                predicates = dict(base)
-                predicates[name] = ValueSet(codes=(int(code),),
-                                            labels=(labels[int(code)],))
-                out.append(make_slice(predicates, Heuristic.CATEGORICAL))
-            return out
-        if Heuristic.HPD not in config.heuristics:
-            return []
-        values = dataset.numeric_view(name)[seed_mask]
-        correctness = dataset.correctness[seed_mask]
-        for cand in hpd.hpd_scan(values, correctness, config.hpd, feature=name):
-            predicates = dict(base)
-            predicates[name] = IntervalUnion(intervals=(cand.interval,))
-            out.append(make_slice(predicates, Heuristic.HPD))
-        return out
-    return task
 
 
 def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
@@ -248,8 +214,7 @@ def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
     kinds = {name: dataset.kind(name) for name in dataset.feature_names}
     labels = {name: dataset.labels_for(name) for name in dataset.feature_names}
     dt_config = dtree.DtConfig(min_leaf=filters.min_support,
-                               max_depth=config.max_depth,
-                               max_order=config.max_order)
+                               max_depth=config.max_depth)
 
     def make_task(names: tuple[str, ...]) -> Callable[[], list[Slice]]:
         def task() -> list[Slice]:
@@ -292,40 +257,32 @@ def generate_higher_order(dataset: Dataset, reported_one_way: Sequence[Slice],
     return order2 + _run_tasks(tasks3, config.workers)
 
 
+def _first_per_predicate(evaluated: Iterable[tuple[Slice, SliceStats]]
+                         ) -> list[tuple[Slice, SliceStats]]:
+    """Keep the first occurrence of each predicate.  Duplicates share their
+    stats, so gating before or after this keeps the same slices."""
+    seen = set()
+    kept = []
+    for sl, stats in evaluated:
+        key = sl.predicate_key()
+        if key not in seen:
+            seen.add(key)
+            kept.append((sl, stats))
+    return kept
+
+
 def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
                     filters: Filters) -> list[tuple[Slice, SliceStats]]:
     """Apply the three gates, dedupe exact predicates (first occurrence wins),
     and rank by p-value, then support, then feature names."""
-    seen = set()
-    kept = []
-    for sl, stats in evaluated:
-        if stats.support < filters.min_support:
-            continue
-        if not stats.performance <= filters.perf_threshold:
-            continue
-        if not stats.p_value < filters.p_value_max:
-            continue
-        key = sl.predicate_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append((sl, stats))
+    kept = _first_per_predicate(
+        (sl, stats) for sl, stats in evaluated
+        if stats.support >= filters.min_support
+        and stats.performance <= filters.perf_threshold
+        and stats.p_value < filters.p_value_max)
     kept.sort(key=lambda pair: (pair[1].p_value, -pair[1].support,
                                 pair[0].features))
     return kept
-
-
-def _dedupe_first(evaluated: Sequence[tuple[Slice, SliceStats]]
-                  ) -> list[tuple[Slice, SliceStats]]:
-    seen = set()
-    out = []
-    for sl, stats in evaluated:
-        key = sl.predicate_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((sl, stats))
-    return out
 
 
 def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
@@ -341,9 +298,10 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
                                    config, filters)
     emitted.extend((sl, evaluate_slice(dataset, sl)) for sl in higher)
 
-    candidates = [(sl, stats) for sl, stats in _dedupe_first(emitted)
-                  if stats.support >= filters.min_support
-                  and stats.performance <= filters.perf_threshold]
+    candidates = _first_per_predicate(
+        (sl, stats) for sl, stats in emitted
+        if stats.support >= filters.min_support
+        and stats.performance <= filters.perf_threshold)
     reported = filter_and_rank(emitted, filters)
 
     candidate_counts = dict(Counter((sl.heuristic.value, sl.order)

@@ -64,6 +64,12 @@ class TestExitCodes:
         assert main([mixed_csv, "-g", "label", "-p", "pred",
                      "--pvalue", "1.5"]) == 1
 
+    def test_bad_knob_reported_before_input_is_read(self, tmp_path, capsys):
+        code = main([str(tmp_path / "ghost.csv"), "-g", "label", "-p", "pred",
+                     "--pvalue", "1.5"])
+        assert code == 1
+        assert "p_value_max" in capsys.readouterr().err
+
 
 class TestReportWiring:
     def test_pvalue_flag_recorded_in_header(self, mixed_csv, capsys):
@@ -121,6 +127,28 @@ class TestStdinAndEnv:
             env=child_env(SLICEMINER_PVALUE="0.01"))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["p_value_max"] == 0.01
+
+    def test_malformed_env_var_is_usage_error(self, mixed_csv, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("SLICEMINER_SUPPORT_FLOOR", "abc")
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["--help"])
+        assert err.value.code == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main([mixed_csv, "-g", "label", "-p", "pred"])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert "usage:" in message
+        assert "SLICEMINER_SUPPORT_FLOOR" in message and "abc" in message
+
+    def test_env_format_checked_before_input_is_read(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # argparse applies choices to command-line values only
+        monkeypatch.setenv("SLICEMINER_FORMAT", "yaml")
+        assert main([str(tmp_path / "ghost.csv"), "-g", "label",
+                     "-p", "pred"]) == 1
+        assert "SLICEMINER_FORMAT" in capsys.readouterr().err
 
 
 class TestHelpAndSelfCheck:

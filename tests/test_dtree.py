@@ -7,7 +7,7 @@ import pytest
 
 from sliceminer.dataset import FeatureKind
 from sliceminer.dtree import DtConfig, best_split, extract_slices, fit_tree, gini
-from sliceminer.model import Filters, Interval, IntervalUnion, ValueSet
+from sliceminer.model import Filters, Interval, ValueSet
 
 
 def exhaustive_best_split(column, target, min_leaf):
@@ -192,7 +192,7 @@ class TestExtractSlices:
         assert len(got) == 1
         (name, pred), = got[0].predicates
         assert name == "f"
-        assert pred == IntervalUnion(intervals=(Interval(3.0, 5.0),))
+        assert pred == Interval(3.0, 5.0)
         assert count_members(features, got[0], correct) == (3, 0)
 
     def test_node_counts_reproduced_exactly(self):
@@ -234,6 +234,5 @@ class TestExtractSlices:
         band = [sl for sl in got
                 if count_members(features, sl, correct)[1] == 0]
         assert band, "no harvested node isolates the false band"
-        (_, pred), = band[0].predicates
-        interval = pred.intervals[0]
+        (_, interval), = band[0].predicates
         assert 0.4 <= interval.low < interval.high <= 0.6

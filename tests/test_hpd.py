@@ -92,13 +92,12 @@ class TestHpdScan:
         band = (values >= 0.40) & (values <= 0.45)
         correctness = ~band
         out = hpd_scan(values, correctness, HpdConfig())
-        hits = [c for c in out
-                if c.interval.low <= 0.40 and c.interval.high >= 0.45
-                and c.correct / c.support < 0.5]
+        hits = []
+        for iv in out:
+            n, k = recount(values, correctness, iv)
+            if iv.low <= 0.40 and iv.high >= 0.45 and k / n < 0.5:
+                hits.append(iv)
         assert hits, "no emitted interval isolates the planted band"
-        for c in hits:  # exhaustive re-evaluation of the emitted intervals
-            n, k = recount(values, correctness, c.interval)
-            assert (n, k) == (c.support, c.correct)
 
     def test_two_bands_give_disjoint_candidates(self):
         rng = np.random.default_rng(3)
@@ -107,10 +106,15 @@ class TestHpdScan:
         b2 = (values >= 0.80) & (values <= 0.82)
         correctness = ~(b1 | b2)
         out = hpd_scan(values, correctness, HpdConfig())
-        covers1 = [c.interval for c in out if c.interval.low <= 0.10
-                   and c.interval.high >= 0.12 and c.correct < c.support]
-        covers2 = [c.interval for c in out if c.interval.low <= 0.80
-                   and c.interval.high >= 0.82 and c.correct < c.support]
+
+        def has_error(iv):
+            n, k = recount(values, correctness, iv)
+            return k < n
+
+        covers1 = [iv for iv in out if iv.low <= 0.10 and iv.high >= 0.12
+                   and has_error(iv)]
+        covers2 = [iv for iv in out if iv.low <= 0.80 and iv.high >= 0.82
+                   and has_error(iv)]
         assert covers1 and covers2
         assert any(a.high < b.low for a in covers1 for b in covers2)
 
@@ -120,15 +124,16 @@ class TestHpdScan:
         correctness = rng.random(800) < 0.8
         out = hpd_scan(values, correctness, HpdConfig())
         assert out
-        for c in out:
-            assert recount(values, correctness, c.interval) == (c.support, c.correct)
+        for iv in out:  # bounds are actual values, so no interval is empty
+            assert iv.low in values and iv.high in values
+            assert recount(values, correctness, iv)[0] >= 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         values = rng.uniform(0, 10, 600)
         correctness = rng.random(600) < 0.7
-        first = hpd_scan(values, correctness, HpdConfig(), feature="f")
-        second = hpd_scan(values, correctness, HpdConfig(), feature="f")
+        first = hpd_scan(values, correctness, HpdConfig())
+        second = hpd_scan(values, correctness, HpdConfig())
         assert first == second
 
     def test_missing_values_ignored(self):
@@ -137,29 +142,15 @@ class TestHpdScan:
         correctness = np.zeros(12, dtype=bool)
         correctness[1] = True
         out = hpd_scan(values, correctness, HpdConfig())
-        for c in out:
-            n, _ = recount(values[np.isfinite(values)],
-                           correctness[np.isfinite(values)], c.interval)
-            assert c.support == n
+        finite = np.isfinite(values)
+        for iv in out:
+            assert iv.low in values[finite] and iv.high in values[finite]
+            assert recount(values[finite], correctness[finite], iv)[0] >= 1
 
     def test_fewer_than_two_values_empty(self):
         out = hpd_scan(np.array([np.nan, 3.0]), np.array([True, False]),
                        HpdConfig())
         assert out == []
-
-    def test_evaluate_callback_used(self):
-        rng = np.random.default_rng(2)
-        values = rng.uniform(0, 1, 300)
-        correctness = rng.random(300) < 0.6
-        seen = []
-
-        def evaluate(low, high):
-            seen.append((low, high))
-            member = (values >= low) & (values <= high)
-            return int(member.sum()), int(correctness[member].sum())
-
-        out = hpd_scan(values, correctness, HpdConfig(), evaluate=evaluate)
-        assert len(seen) == len(out)
 
 
 class TestHpdConfig:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from sliceminer.dataset import DatasetSummary
-from sliceminer.model import (Filters, Heuristic, Interval, IntervalUnion,
-                              ValueSet, make_slice)
+from sliceminer.model import Filters, Heuristic, Interval, ValueSet, make_slice
 from sliceminer.oracle import exhaustive_categorical_slices, slice_key_set
 from sliceminer.slicer import (AnalysisConfig, evaluate_slice, filter_and_rank,
                                generate_higher_order, generate_one_way,
@@ -67,7 +66,7 @@ class TestEvaluateSlice:
     def test_full_coverage_gives_p_one(self, tmp_path):
         ds = statlog_like(tmp_path)
         full = make_slice(
-            {"amount": IntervalUnion((Interval(0.0, 299.0),))}, Heuristic.HPD)
+            {"amount": Interval(0.0, 299.0)}, Heuristic.HPD)
         stats = evaluate_slice(ds, full)
         assert stats.support == 300 and stats.correct == 230
         assert stats.p_value == pytest.approx(1.0)
@@ -86,7 +85,7 @@ class TestEvaluateSlice:
     def test_empty_slice_distinguished(self, tmp_path):
         ds = statlog_like(tmp_path)
         sl = make_slice(
-            {"amount": IntervalUnion((Interval(1000.0, 2000.0),))}, Heuristic.HPD)
+            {"amount": Interval(1000.0, 2000.0)}, Heuristic.HPD)
         stats = evaluate_slice(ds, sl)
         assert stats.support == 0 and stats.correct == 0
         assert math.isnan(stats.performance) and stats.p_value == 1.0
@@ -101,7 +100,7 @@ class TestEvaluateSlice:
         ds = dataset_from_columns(
             tmp_path, {"x": [1.0, "", 2.0, 3.0]},
             [True, True, False, True])
-        sl = make_slice({"x": IntervalUnion((Interval(0.0, 10.0),))}, Heuristic.HPD)
+        sl = make_slice({"x": Interval(0.0, 10.0)}, Heuristic.HPD)
         assert evaluate_slice(ds, sl).support == 3
 
 
@@ -125,7 +124,7 @@ class TestGenerateOneWay:
         hits = []
         for sl in out:
             assert sl.heuristic is Heuristic.HPD
-            interval = dict(sl.predicates)["x"].intervals[0]
+            interval = dict(sl.predicates)["x"]
             if interval.low <= 0.40 and interval.high >= 0.45:
                 stats = evaluate_slice(ds, sl)
                 if stats.performance < 0.5:
@@ -181,7 +180,7 @@ class TestGenerateHigherOrder:
         pairs = [sl for sl in out if sl.features == ("group", "x")]
         assert pairs
         covering = [sl for sl in pairs
-                    if dict(sl.predicates)["x"].intervals[0].low <= 0.31
+                    if dict(sl.predicates)["x"].low <= 0.31
                     and evaluate_slice(ds, sl).performance < 0.5]
         assert covering, "conditioned scan missed the planted low-x fault"
 
