@@ -173,14 +173,17 @@ def _build_column(name: str, tokens: list[str], missing: np.ndarray) -> FeatureC
     for i, tok in enumerate(tokens):
         if missing[i]:
             continue
-        value = _try_parse(tok)
-        if value is None:
+        try:
+            parsed[i] = float(tok)
+        except ValueError:
             parseable = False
             break
-        parsed[i] = value
 
     codes = np.full(n, -1, dtype=np.int32)
     if parseable:
+        # in a numeric column, non-finite tokens (nan, inf) are missing values
+        missing = ~np.isfinite(parsed)
+        parsed[missing] = np.nan
         present = ~missing
         values = parsed[present]
         if values.size:
@@ -243,9 +246,11 @@ def infer_feature_kinds(dataset: Dataset, config: IngestConfig) -> tuple[ColumnS
 def load_table(path: str, config: IngestConfig) -> Dataset:
     """Parse a delimited UTF-8 file (header row required) into a Dataset.
 
-    ``path`` may be ``-`` for stdin.  Rows whose ground-truth or prediction
-    cell is missing are rejected; their file line numbers are kept on the
-    returned dataset.
+    ``path`` may be ``-`` for stdin; a leading byte order mark is dropped.
+    Rows whose ground-truth or prediction cell is missing are rejected;
+    their file line numbers are kept on the returned dataset.  In a feature
+    column whose tokens all parse as numbers, non-finite ones (``nan``,
+    ``inf``) count as missing.
     """
     if config.ground_truth == config.prediction:
         raise ConfigError("ground-truth and prediction must be distinct columns")
@@ -257,6 +262,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
                 text = fh.read()
         except FileNotFoundError:
             raise DataError(f"input file not found: {path}") from None
+    text = text.removeprefix("\ufeff")  # UTF-8 byte order mark
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
     rows = list(reader)
     if not rows:

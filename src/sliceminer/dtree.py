@@ -23,7 +23,7 @@ __all__ = ["DtConfig", "TreeNode", "gini", "best_split", "fit_tree", "extract_sl
 @dataclass(frozen=True)
 class DtConfig:
     min_leaf: int
-    max_depth: int = 5
+    max_depth: int
 
     def __post_init__(self):
         if self.min_leaf < 1:

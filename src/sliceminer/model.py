@@ -119,7 +119,7 @@ class Filters:
 
     min_support: int
     perf_threshold: float
-    p_value_max: float = 0.05
+    p_value_max: float
 
     def __post_init__(self):
         if self.min_support < 2:

@@ -1,10 +1,11 @@
 """Candidate generation, slice evaluation, and the three reporting filters.
 
-One-way analysis enumerates every categorical value and runs the HPD scan on
-every continuous feature.  Higher orders come from two routes: conditioning
-(rerun single-feature analysis inside each surviving slice, on every other
-feature) and small decision trees over feature pairs and triples.  Every
-candidate is then re-evaluated directly against the dataset, so reported
+The search runs one round per order.  Order 1 enumerates every categorical
+value and runs the HPD scan on every continuous feature.  Each higher order
+comes from two routes: conditioning (rerun single-feature analysis inside
+each slice the previous order reported, on every other feature) and small
+decision trees over every feature subset of that order.  Each distinct
+predicate is then evaluated once, directly against the dataset, so reported
 numbers never depend on heuristic internals, and kept only if it clears
 minimum support, the performance gap, and the hypergeometric significance
 test against the whole-dataset record and correct counts.
@@ -17,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -198,17 +199,6 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig) -> list[Slice]:
     return _run_tasks(tasks, config.workers)
 
 
-def _conditioned_tasks(dataset: Dataset, seeds: Sequence[Slice],
-                       config: AnalysisConfig) -> list[Callable[[], list[Slice]]]:
-    tasks = []
-    for seed in seeds:
-        seed_mask = membership(dataset, seed)
-        base = dict(seed.predicates)
-        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config)
-                     for name in dataset.feature_names if name not in base)
-    return tasks
-
-
 def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
                 filters: Filters) -> list[Callable[[], list[Slice]]]:
     kinds = {name: dataset.kind(name) for name in dataset.feature_names}
@@ -230,78 +220,72 @@ def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
             for names in combinations(dataset.feature_names, subset_size)]
 
 
-def generate_higher_order(dataset: Dataset, reported_one_way: Sequence[Slice],
+def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                           config: AnalysisConfig, filters: Filters) -> list[Slice]:
-    """Order-2 (and order-3) candidates via conditioning and decision trees.
+    """Order-``order`` candidates via conditioning and decision trees.
 
-    Conditioning restricts the dataset to each surviving slice's members and
-    reruns single-feature analysis on every other feature; trees are fitted
-    on every feature pair (and triple at max_order 3).  Order-3 conditioning
-    is seeded by the order-2 slices that survive all three filters.
+    Conditioning restricts the dataset to each seed's members and reruns
+    single-feature analysis on every feature the seed does not constrain;
+    trees are fitted on every subset of ``order`` features, so they may
+    also yield lower-order slices.
     """
-    if config.max_order < 2:
-        return []
-    tasks = _conditioned_tasks(dataset, reported_one_way, config)
+    tasks = []
+    for seed in seeds:
+        seed_mask = membership(dataset, seed)
+        base = dict(seed.predicates)
+        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config)
+                     for name in dataset.feature_names if name not in base)
     if Heuristic.DT in config.heuristics:
-        tasks.extend(_tree_tasks(dataset, 2, config, filters))
-    order2 = _run_tasks(tasks, config.workers)
-    if config.max_order < 3:
-        return order2
-
-    evaluated2 = [(sl, evaluate_slice(dataset, sl)) for sl in order2]
-    surviving2 = [sl for sl, _ in filter_and_rank(evaluated2, filters)
-                  if sl.order == 2]
-    tasks3 = _conditioned_tasks(dataset, surviving2, config)
-    if Heuristic.DT in config.heuristics:
-        tasks3.extend(_tree_tasks(dataset, 3, config, filters))
-    return order2 + _run_tasks(tasks3, config.workers)
-
-
-def _first_per_predicate(evaluated: Iterable[tuple[Slice, SliceStats]]
-                         ) -> list[tuple[Slice, SliceStats]]:
-    """Keep the first occurrence of each predicate.  Duplicates share their
-    stats, so gating before or after this keeps the same slices."""
-    seen = set()
-    kept = []
-    for sl, stats in evaluated:
-        key = sl.predicate_key()
-        if key not in seen:
-            seen.add(key)
-            kept.append((sl, stats))
-    return kept
+        tasks.extend(_tree_tasks(dataset, order, config, filters))
+    return _run_tasks(tasks, config.workers)
 
 
 def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
                     filters: Filters) -> list[tuple[Slice, SliceStats]]:
     """Apply the three gates, dedupe exact predicates (first occurrence wins),
     and rank by p-value, then support, then feature names."""
-    kept = _first_per_predicate(
-        (sl, stats) for sl, stats in evaluated
-        if stats.support >= filters.min_support
-        and stats.performance <= filters.perf_threshold
-        and stats.p_value < filters.p_value_max)
+    first = {}
+    for sl, stats in evaluated:
+        if (stats.support >= filters.min_support
+                and stats.performance <= filters.perf_threshold
+                and stats.p_value < filters.p_value_max):
+            first.setdefault(sl.predicate_key(), (sl, stats))
+    kept = list(first.values())
     kept.sort(key=lambda pair: (pair[1].p_value, -pair[1].support,
                                 pair[0].features))
     return kept
 
 
 def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
-    """Full pipeline: summary, filters, one-way, higher orders, final report
-    set, with candidate/reported counts per (heuristic, order)."""
+    """Full pipeline: summary, filters, one generation round per order, final
+    report set, with candidate/reported counts per (heuristic, order).
+
+    Each round evaluates only predicates no earlier candidate has (first
+    occurrence wins); the slices of the previous order that pass all three
+    gates seed each higher round's conditioning."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
 
-    emitted = [(sl, evaluate_slice(dataset, sl))
-               for sl in generate_one_way(dataset, config)]
-    reported_one_way = filter_and_rank(emitted, filters)
-    higher = generate_higher_order(dataset, [sl for sl, _ in reported_one_way],
-                                   config, filters)
-    emitted.extend((sl, evaluate_slice(dataset, sl)) for sl in higher)
+    seen = set()
+    emitted = []
+    for order in range(1, config.max_order + 1):
+        if order == 1:
+            generated = generate_one_way(dataset, config)
+        else:
+            seeds = [sl for sl, _ in filter_and_rank(this_round, filters)
+                     if sl.order == order - 1]
+            generated = generate_higher_order(dataset, seeds, order, config, filters)
+        this_round = []
+        for sl in generated:
+            key = sl.predicate_key()
+            if key not in seen:
+                seen.add(key)
+                this_round.append((sl, evaluate_slice(dataset, sl)))
+        emitted.extend(this_round)
 
-    candidates = _first_per_predicate(
-        (sl, stats) for sl, stats in emitted
-        if stats.support >= filters.min_support
-        and stats.performance <= filters.perf_threshold)
+    candidates = [(sl, stats) for sl, stats in emitted
+                  if stats.support >= filters.min_support
+                  and stats.performance <= filters.perf_threshold]
     reported = filter_and_rank(emitted, filters)
 
     candidate_counts = dict(Counter((sl.heuristic.value, sl.order)

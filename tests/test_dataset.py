@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,26 @@ class TestLoadTable:
         assert len(ds.feature_schemas) == 2
         assert all(s.role is Role.FEATURE for s in ds.feature_schemas)
 
+    @pytest.mark.parametrize("header", ["label,pred,x", "x,label,pred"])
+    @pytest.mark.parametrize("from_stdin", [False, True])
+    def test_byte_order_mark_dropped(self, tmp_path, monkeypatch, header,
+                                     from_stdin):
+        names = header.split(",")
+        rows = [",".join({"label": "1", "pred": p, "x": str(i)}[name]
+                         for name in names)
+                for i, p in enumerate(["1", "0", "1"])]
+        text = "\ufeff" + "\n".join([header] + rows) + "\n"
+        if from_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = tmp_path / "bom.csv"
+            path.write_text(text, encoding="utf-8")
+            path = str(path)
+        ds = load_table(path, CONFIG)
+        assert ds.feature_names == ("x",)
+        assert ds.correctness.tolist() == [True, False, True]
+
 
 class TestInferKinds:
     def build(self, tmp_path, column, **config_kwargs):
@@ -153,6 +175,22 @@ class TestInferKinds:
         col = ds.column("x")
         assert col.labels == ("2", "10", "30")
         assert col.codes.tolist() == [1, 0, 0, 2, 1]
+
+    def test_non_finite_tokens_missing_in_numeric_column(self, tmp_path):
+        column = [i + 0.5 for i in range(200)]
+        column[7], column[50] = "NaN", "-inf"
+        ds, _ = self.build(tmp_path, column)
+        assert ds.kind("x") is FeatureKind.CONTINUOUS
+        col = ds.column("x")
+        assert np.flatnonzero(col.missing).tolist() == [7, 50]
+        assert col.distinct_count == 198
+        assert np.isnan(ds.numeric_view("x")[[7, 50]]).all()
+
+    def test_nan_stays_a_label_in_text_column(self, tmp_path):
+        ds, _ = self.build(tmp_path, ["a", "b", "nan"] * 5)
+        assert ds.kind("x") is FeatureKind.CATEGORICAL
+        assert ds.labels_for("x") == ("a", "b", "nan")
+        assert not ds.column("x").missing.any()
 
 
 class TestSummarize:

@@ -91,14 +91,14 @@ class TestBestSplit:
 class TestFitTree:
     def test_all_correct_single_leaf(self):
         tree = fit_tree([("f", np.arange(10.0))], np.ones(10, dtype=bool),
-                        DtConfig(min_leaf=1))
+                        DtConfig(min_leaf=1, max_depth=5))
         assert tree.is_leaf
         assert tree.n_true == 10 and tree.n_false == 0
 
     def test_depth_one_pure_children(self):
         tree = fit_tree([("f", np.array([1.0, 2.0, 3.0, 4.0]))],
                         np.array([True, True, False, False]),
-                        DtConfig(min_leaf=1))
+                        DtConfig(min_leaf=1, max_depth=5))
         assert tree.feature == "f" and tree.threshold == pytest.approx(2.5)
         assert tree.left.is_leaf and tree.left.n_false == 0
         assert tree.right.is_leaf and tree.right.n_true == 0
@@ -123,7 +123,7 @@ class TestFitTree:
         rng = np.random.default_rng(4)
         cols = [("a", rng.normal(size=300)), ("b", rng.uniform(size=300))]
         correct = rng.random(300) < 0.7
-        tree = fit_tree(cols, correct, DtConfig(min_leaf=10))
+        tree = fit_tree(cols, correct, DtConfig(min_leaf=10, max_depth=5))
 
         def check(node):
             if node.is_leaf:
@@ -138,13 +138,13 @@ class TestFitTree:
     def test_missing_rows_excluded(self):
         col = np.array([1.0, 2.0, np.nan, 3.0, 4.0, np.nan])
         correct = np.array([True, True, False, False, False, True])
-        tree = fit_tree([("f", col)], correct, DtConfig(min_leaf=1))
+        tree = fit_tree([("f", col)], correct, DtConfig(min_leaf=1, max_depth=5))
         assert tree.size == 4
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             fit_tree([("f", np.array([np.nan, 1.0]))],
-                     np.array([True, False]), DtConfig(min_leaf=2))
+                     np.array([True, False]), DtConfig(min_leaf=2, max_depth=5))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -156,8 +156,8 @@ class TestFitTree:
                 return (node.n_true, node.n_false)
             return (node.feature, node.threshold, shape(node.left), shape(node.right))
 
-        t1 = fit_tree(cols, correct, DtConfig(min_leaf=5))
-        t2 = fit_tree(cols, correct, DtConfig(min_leaf=5))
+        t1 = fit_tree(cols, correct, DtConfig(min_leaf=5, max_depth=5))
+        t2 = fit_tree(cols, correct, DtConfig(min_leaf=5, max_depth=5))
         assert shape(t1) == shape(t2)
 
 
@@ -178,17 +178,20 @@ class TestExtractSlices:
 
     def test_pure_true_tree_empty(self):
         features = [("f", np.arange(20.0))]
-        tree = fit_tree(features, np.ones(20, dtype=bool), DtConfig(min_leaf=1))
+        tree = fit_tree(features, np.ones(20, dtype=bool),
+                        DtConfig(min_leaf=1, max_depth=5))
         got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
-                             Filters(min_support=2, perf_threshold=0.5))
+                             Filters(min_support=2, perf_threshold=0.5,
+                                     p_value_max=0.05))
         assert got == []
 
     def test_depth_one_false_child_harvested(self):
         features = [("f", np.array([1.0, 2.0, 3.0, 4.0, 5.0]))]
         correct = np.array([True, True, False, False, False])
-        tree = fit_tree(features, correct, DtConfig(min_leaf=2))
+        tree = fit_tree(features, correct, DtConfig(min_leaf=2, max_depth=5))
         got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
-                             Filters(min_support=2, perf_threshold=0.5))
+                             Filters(min_support=2, perf_threshold=0.5,
+                                     p_value_max=0.05))
         assert len(got) == 1
         (name, pred), = got[0].predicates
         assert name == "f"
@@ -199,8 +202,8 @@ class TestExtractSlices:
         rng = np.random.default_rng(13)
         features = [("f", rng.normal(size=400)), ("g", rng.uniform(size=400))]
         correct = rng.random(400) < 0.65
-        tree = fit_tree(features, correct, DtConfig(min_leaf=10))
-        filters = Filters(min_support=10, perf_threshold=0.75)
+        tree = fit_tree(features, correct, DtConfig(min_leaf=10, max_depth=5))
+        filters = Filters(min_support=10, perf_threshold=0.75, p_value_max=0.05)
         for sl in extract_slices(tree, features, self.kinds, filters):
             n, k = count_members(features, sl, correct)
             assert n >= filters.min_support
@@ -211,9 +214,10 @@ class TestExtractSlices:
         correct = codes >= 2.0  # codes 0 and 1 always wrong
         features = [("c", codes)]
         labels = {"c": ("red", "green", "blue", "grey")}
-        tree = fit_tree(features, correct, DtConfig(min_leaf=2))
+        tree = fit_tree(features, correct, DtConfig(min_leaf=2, max_depth=5))
         got = extract_slices(tree, features, {"c": FeatureKind.CATEGORICAL},
-                             Filters(min_support=2, perf_threshold=0.5),
+                             Filters(min_support=2, perf_threshold=0.5,
+                                     p_value_max=0.05),
                              labels)
         assert got
         weak = [sl for sl in got for _, pred in sl.predicates
@@ -229,7 +233,8 @@ class TestExtractSlices:
         features = [("f", values)]
         tree = fit_tree(features, correct, DtConfig(min_leaf=5, max_depth=3))
         got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
-                             Filters(min_support=5, perf_threshold=0.5))
+                             Filters(min_support=5, perf_threshold=0.5,
+                                     p_value_max=0.05))
         assert any(sl.order == 1 for sl in got)
         band = [sl for sl in got
                 if count_members(features, sl, correct)[1] == 0]

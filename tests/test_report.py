@@ -168,7 +168,7 @@ def table7_style_report():
         summary=DatasetSummary(n_records=14653, n_correct=12486,
                                metric=0.852, ci_low=0.845, ci_high=0.857,
                                ci_level=0.95),
-        filters=Filters(min_support=109, perf_threshold=0.805),
+        filters=Filters(min_support=109, perf_threshold=0.805, p_value_max=0.05),
         config={"gap": 0.04},
         candidate_counts={("categorical", 1): 26},
         reported_counts={("categorical", 1): 1},

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -149,8 +150,8 @@ class TestGenerateHigherOrder:
         ds = dataset_from_columns(
             tmp_path, {"only": [0, 1] * 30}, [True, False] * 30)
         seed = make_slice({"only": ValueSet((0,), ("0",))}, Heuristic.CATEGORICAL)
-        filters = Filters(min_support=2, perf_threshold=0.9)
-        out = generate_higher_order(ds, [seed], AnalysisConfig(), filters)
+        filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
+        out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters)
         assert out == []
 
     def test_conditioning_produces_conjunction(self, tmp_path):
@@ -172,11 +173,10 @@ class TestGenerateHigherOrder:
             {"group": ValueSet((0,), (ds.labels_for("group")[0],))},
             Heuristic.CATEGORICAL)
         assert ds.labels_for("group")[0] == "g"
-        filters = Filters(min_support=5, perf_threshold=0.8)
-        out = generate_higher_order(
-            ds, [seed], AnalysisConfig(heuristics=frozenset({Heuristic.HPD,
-                                                             Heuristic.CATEGORICAL})),
-            filters)
+        filters = Filters(min_support=5, perf_threshold=0.8, p_value_max=0.05)
+        config = AnalysisConfig(heuristics=frozenset({Heuristic.HPD,
+                                                      Heuristic.CATEGORICAL}))
+        out = generate_higher_order(ds, [seed], 2, config, filters)
         pairs = [sl for sl in out if sl.features == ("group", "x")]
         assert pairs
         covering = [sl for sl in pairs
@@ -192,9 +192,10 @@ class TestGenerateHigherOrder:
         ds = dataset_from_columns(
             tmp_path, {"x": x, "y": y}, correct,
             config_kwargs={"all_numeric": True})
-        filters = Filters(min_support=2, perf_threshold=0.45)
+        filters = Filters(min_support=2, perf_threshold=0.45, p_value_max=0.05)
         out = generate_higher_order(
-            ds, [], AnalysisConfig(heuristics=frozenset({Heuristic.DT})), filters)
+            ds, [], 2, AnalysisConfig(heuristics=frozenset({Heuristic.DT})),
+            filters)
         quadrants = [sl for sl in out if sl.order == 2
                      and evaluate_slice(ds, sl).performance == 0.0]
         assert len(quadrants) >= 2
@@ -228,7 +229,8 @@ class TestFilterAndRank:
         assert filter_and_rank([(sl, stats)], filters) == []
 
     def test_empty_input(self):
-        assert filter_and_rank([], Filters(min_support=2, perf_threshold=0.5)) == []
+        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
+        assert filter_and_rank([], filters) == []
 
     def test_duplicate_predicates_merge_first_wins(self, tmp_path):
         ds = statlog_like(tmp_path)
@@ -254,8 +256,8 @@ class TestFilterAndRank:
             (b, SliceStats(support=30, correct=3, performance=0.1, p_value=0.001)),
             (c, SliceStats(support=50, correct=5, performance=0.1, p_value=0.01)),
         ]
-        kept = filter_and_rank(evaluated,
-                               Filters(min_support=2, perf_threshold=0.5))
+        kept = filter_and_rank(evaluated, Filters(min_support=2, perf_threshold=0.5,
+                                                  p_value_max=0.05))
         assert [sl.features[0] for sl, _ in kept] == ["b", "c", "a"]
 
 
@@ -334,3 +336,17 @@ class TestRunAnalysis:
         parallel = run_analysis(ds, AnalysisConfig(workers=8))
         assert sequential.reported == parallel.reported
         assert sequential.candidate_counts == parallel.candidate_counts
+
+    def test_each_predicate_evaluated_once(self, tmp_path, monkeypatch):
+        ds = random_dataset(tmp_path, 5)
+        evaluated = Counter()
+
+        def counting(dataset, sl):
+            evaluated[sl.predicate_key()] += 1
+            return evaluate_slice(dataset, sl)
+
+        monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting)
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
+        assert {sl.order for sl, _ in result.reported} >= {1, 2}
+        assert max(evaluated.values()) == 1
+        assert {sl.predicate_key() for sl, _ in result.reported} <= set(evaluated)
