@@ -1,11 +1,7 @@
-"""Hot numeric kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Set ``SLICEMINER_BACKEND=numpy`` to force the fallback; anything else (or
-unset) uses numba when it is importable.  ``benchmarks/bench_kernels.py``
-times both paths side by side.
-
-The hypergeometric kernels build the probability masses by exact ratio
-recurrence outward from the distribution's mode and normalize by the
+The hypergeometric tail builds the probability masses by exact ratio
+recurrence outward from the distribution's mode and normalizes by the
 full-support sum.  The log-gamma anchor then cancels out of every quotient,
 which keeps tail values within ~1e-13 of exact rational arithmetic even at
 population sizes where a direct log-gamma difference loses ~1e-9.
@@ -14,23 +10,18 @@ population sizes where a direct log-gamma difference loses ~1e-9.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "NUMBA_AVAILABLE",
     "hypergeom_lower_tail",
-    "hypergeom_pmf",
     "min_width_window",
     "best_split_scan",
 ]
 
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _support(population: int, successes: int, draws: int) -> tuple[int, int]:
     lo = max(0, draws - (population - successes))
@@ -38,7 +29,7 @@ def _support(population: int, successes: int, draws: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _np_masses(population: int, successes: int, draws: int) -> np.ndarray:
+def _masses(population: int, successes: int, draws: int) -> np.ndarray:
     """Unnormalized masses over the support, scaled so the mode is 1."""
     lo, hi = _support(population, successes, draws)
     xs = np.arange(lo, hi + 1, dtype=np.float64)
@@ -58,36 +49,38 @@ def _np_masses(population: int, successes: int, draws: int) -> np.ndarray:
     return u
 
 
-def _np_hypergeom_lower_tail(population: int, successes: int, draws: int,
-                             observed: int) -> float:
+def hypergeom_lower_tail(population: int, successes: int, draws: int,
+                         observed: int) -> float:
+    """Sum of the hypergeometric pmf over 0..observed, clamped to [0, 1]."""
     lo, hi = _support(population, successes, draws)
     if observed < lo:
         return 0.0
     if observed >= hi:
         return 1.0
-    u = _np_masses(population, successes, draws)
+    u = _masses(population, successes, draws)
     lower = math.fsum(u[: observed - lo + 1].tolist())
     total = lower + math.fsum(u[observed - lo + 1:].tolist())
     p = lower / total
     return min(max(p, 0.0), 1.0)
 
 
-def _np_hypergeom_pmf(population: int, successes: int, draws: int,
-                      x: int) -> float:
-    lo, hi = _support(population, successes, draws)
-    if x < lo or x > hi:
-        return 0.0
-    u = _np_masses(population, successes, draws)
-    return float(u[x - lo] / math.fsum(u.tolist()))
+def min_width_window(values: np.ndarray, m: int) -> int:
+    """Start index of the leftmost narrowest window of m consecutive values.
 
-
-def _np_min_width_window(values: np.ndarray, m: int) -> int:
+    ``values`` must be sorted ascending and hold at least ``m`` entries.
+    """
     widths = values[m - 1:] - values[: values.size - m + 1]
     return int(np.argmin(widths))  # first minimum: leftmost tie wins
 
 
-def _np_best_split_scan(values: np.ndarray, truth: np.ndarray,
-                        min_leaf: int) -> tuple[int, float]:
+def best_split_scan(values: np.ndarray, truth: np.ndarray,
+                    min_leaf: int) -> tuple[int, float]:
+    """Best boundary position and Gini decrease for a sorted column.
+
+    ``values`` sorted ascending with ``truth`` aligned.  Returns ``(pos, dec)``
+    where the left child is ``values[:pos + 1]``, or ``(-1, 0.0)`` when the
+    node is pure or no boundary leaves both children at ``min_leaf`` rows.
+    """
     n = values.size
     if n < 2:
         return -1, 0.0
@@ -113,196 +106,3 @@ def _np_best_split_scan(values: np.ndarray, truth: np.ndarray,
     decrease[~legal] = -np.inf
     pos = int(np.argmax(decrease))  # first maximum: smallest threshold wins
     return pos, float(decrease[pos])
-
-
-# ---------------------------------------------------------------------------
-# numba fast path
-# ---------------------------------------------------------------------------
-
-NUMBA_AVAILABLE = False
-_nb_hypergeom_lower_tail = None
-_nb_hypergeom_pmf = None
-_nb_min_width_window = None
-_nb_best_split_scan = None
-
-try:
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _nb_masses(population, successes, draws):
-        lo = draws - (population - successes)
-        if lo < 0:
-            lo = 0
-        hi = min(draws, successes)
-        size = hi - lo + 1
-        u = np.empty(size)
-        mode = int(((draws + 1.0) * (successes + 1.0)) // (population + 2.0))
-        if mode < lo:
-            mode = lo
-        if mode > hi:
-            mode = hi
-        i_mode = mode - lo
-        u[i_mode] = 1.0
-        for i in range(i_mode + 1, size):
-            x = lo + i - 1
-            ratio = ((successes - x) * (draws - x)
-                     / ((x + 1.0) * (population - successes - draws + x + 1.0)))
-            u[i] = u[i - 1] * ratio
-        for i in range(i_mode - 1, -1, -1):
-            x = lo + i
-            ratio = ((successes - x) * (draws - x)
-                     / ((x + 1.0) * (population - successes - draws + x + 1.0)))
-            u[i] = u[i + 1] / ratio
-        return u, lo, hi
-
-    @njit(cache=True, nogil=True)
-    def _kahan_sum(u, start, stop):
-        total = 0.0
-        carry = 0.0
-        for i in range(start, stop):
-            y = u[i] - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        return total
-
-    @njit(cache=True, nogil=True)
-    def _nb_hypergeom_lower_tail(population, successes, draws, observed):
-        lo = draws - (population - successes)
-        if lo < 0:
-            lo = 0
-        hi = min(draws, successes)
-        if observed < lo:
-            return 0.0
-        if observed >= hi:
-            return 1.0
-        u, lo, hi = _nb_masses(population, successes, draws)
-        lower = _kahan_sum(u, 0, observed - lo + 1)
-        total = lower + _kahan_sum(u, observed - lo + 1, u.size)
-        p = lower / total
-        if p < 0.0:
-            return 0.0
-        if p > 1.0:
-            return 1.0
-        return p
-
-    @njit(cache=True, nogil=True)
-    def _nb_hypergeom_pmf(population, successes, draws, x):
-        lo = draws - (population - successes)
-        if lo < 0:
-            lo = 0
-        hi = min(draws, successes)
-        if x < lo or x > hi:
-            return 0.0
-        u, lo, hi = _nb_masses(population, successes, draws)
-        return u[x - lo] / _kahan_sum(u, 0, u.size)
-
-    @njit(cache=True, nogil=True)
-    def _nb_min_width_window(values, m):
-        best = 0
-        best_width = values[m - 1] - values[0]
-        for i in range(1, values.size - m + 1):
-            width = values[i + m - 1] - values[i]
-            if width < best_width:
-                best_width = width
-                best = i
-        return best
-
-    @njit(cache=True, nogil=True)
-    def _nb_best_split_scan(values, truth, min_leaf):
-        n = values.size
-        if n < 2:
-            return -1, 0.0
-        total_true = 0
-        for i in range(n):
-            total_true += truth[i]
-        p_true = total_true / n
-        parent = 1.0 - p_true * p_true - (1.0 - p_true) * (1.0 - p_true)
-        if parent <= 0.0:
-            return -1, 0.0
-        best_pos = -1
-        best_dec = -np.inf
-        run_true = 0
-        for i in range(n - 1):
-            run_true += truth[i]
-            if values[i] == values[i + 1]:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            lt = float(run_true)
-            lf = n_left - lt
-            rt = float(total_true - run_true)
-            rf = n_right - rt
-            gini_left = 1.0 - (lt / n_left) ** 2 - (lf / n_left) ** 2
-            gini_right = 1.0 - (rt / n_right) ** 2 - (rf / n_right) ** 2
-            dec = parent - (n_left * gini_left + n_right * gini_right) / n
-            if dec > best_dec:
-                best_dec = dec
-                best_pos = i
-        if best_pos < 0:
-            return -1, 0.0
-        return best_pos, best_dec
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via SLICEMINER_BACKEND
-    pass
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("SLICEMINER_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba" and not NUMBA_AVAILABLE:
-        raise ImportError("SLICEMINER_BACKEND=numba but numba is not importable")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    _tail_impl = _nb_hypergeom_lower_tail
-    _pmf_impl = _nb_hypergeom_pmf
-    _window_impl = _nb_min_width_window
-    _split_impl = _nb_best_split_scan
-else:
-    _tail_impl = _np_hypergeom_lower_tail
-    _pmf_impl = _np_hypergeom_pmf
-    _window_impl = _np_min_width_window
-    _split_impl = _np_best_split_scan
-
-
-def hypergeom_lower_tail(population: int, successes: int, draws: int,
-                         observed: int) -> float:
-    """Sum of the hypergeometric pmf over 0..observed, clamped to [0, 1]."""
-    return _tail_impl(population, successes, draws, observed)
-
-
-def hypergeom_pmf(population: int, successes: int, draws: int, x: int) -> float:
-    """Pr(X = x); zero outside the support."""
-    return _pmf_impl(population, successes, draws, x)
-
-
-def min_width_window(values: np.ndarray, m: int) -> int:
-    """Start index of the leftmost narrowest window of m consecutive values.
-
-    ``values`` must be sorted ascending and hold at least ``m`` entries.
-    """
-    return int(_window_impl(np.ascontiguousarray(values, dtype=np.float64), m))
-
-
-def best_split_scan(values: np.ndarray, truth: np.ndarray,
-                    min_leaf: int) -> tuple[int, float]:
-    """Best boundary position and Gini decrease for a sorted column.
-
-    ``values`` sorted ascending with ``truth`` aligned.  Returns ``(pos, dec)``
-    where the left child is ``values[:pos + 1]``, or ``(-1, 0.0)`` when the
-    node is pure or no boundary leaves both children at ``min_leaf`` rows.
-    """
-    pos, dec = _split_impl(
-        np.ascontiguousarray(values, dtype=np.float64),
-        np.ascontiguousarray(truth, dtype=np.uint8),
-        min_leaf,
-    )
-    return int(pos), float(dec)

@@ -160,10 +160,9 @@ class DatasetSummary:
 
 def _try_parse(token: str) -> float | None:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
 
 
 def _build_column(name: str, tokens: list[str], missing: np.ndarray) -> FeatureColumn:
@@ -248,9 +247,11 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
 
     ``path`` may be ``-`` for stdin; a leading byte order mark is dropped.
     Rows whose ground-truth or prediction cell is missing are rejected;
-    their file line numbers are kept on the returned dataset.  In a feature
-    column whose tokens all parse as numbers, non-finite ones (``nan``,
-    ``inf``) count as missing.
+    their file line numbers are kept on the returned dataset.  Targets
+    compare as numbers when every present target token parses as one, and
+    as text otherwise.  In a column whose tokens all parse as numbers,
+    non-finite ones (``nan``, ``inf``) count as missing: in a target column
+    they reject the row, in a feature column they mask the cell.
     """
     if config.ground_truth == config.prediction:
         raise ConfigError("ground-truth and prediction must be distinct columns")
@@ -281,7 +282,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     gt_idx = header.index(config.ground_truth)
     pred_idx = header.index(config.prediction)
 
-    kept: list[list[str]] = []
+    present: list[tuple[int, list[str]]] = []
     rejected: list[int] = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -289,22 +290,27 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
                 f"line {line_no}: expected {len(header)} fields, got {len(row)}")
         if is_missing(row[gt_idx]) or is_missing(row[pred_idx]):
             rejected.append(line_no)
+        else:
+            present.append((line_no, row))
+
+    targets = [(row[gt_idx].strip(), row[pred_idx].strip()) for _, row in present]
+    parsed = [(_try_parse(gt), _try_parse(pred)) for gt, pred in targets]
+    numeric = all(None not in pair for pair in parsed)
+    kept: list[list[str]] = []
+    gt_values: list = []
+    pred_values: list = []
+    for (line_no, row), text, number in zip(present, targets, parsed):
+        gt, pred = number if numeric else text
+        if numeric and not (math.isfinite(gt) and math.isfinite(pred)):
+            rejected.append(line_no)  # nan/inf is a missing number
             continue
         kept.append(row)
+        gt_values.append(gt)
+        pred_values.append(pred)
+    rejected.sort()
     if not kept:
         raise DataError("no usable data rows")
 
-    gt_tokens = [row[gt_idx].strip() for row in kept]
-    pred_tokens = [row[pred_idx].strip() for row in kept]
-    gt_parsed = [_try_parse(t) for t in gt_tokens]
-    pred_parsed = [_try_parse(t) for t in pred_tokens]
-    both_numeric = all(v is not None for v in gt_parsed + pred_parsed)
-    if both_numeric:
-        gt_values: list = gt_parsed
-        pred_values: list = pred_parsed
-    else:
-        gt_values = gt_tokens
-        pred_values = pred_tokens
     if not set(gt_values) & set(pred_values):
         raise DataError(
             f"ground-truth column {config.ground_truth!r} and prediction column "

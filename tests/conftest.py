@@ -1,26 +1,15 @@
-"""Shared fixtures: in-memory dataset builders, kernel warmup and a clean
-environment for in-process and child-process CLI runs."""
+"""Shared fixtures: in-memory dataset builders and a clean environment for
+in-process and child-process CLI runs."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sliceminer
-from sliceminer import _kernels
 from sliceminer.dataset import Dataset, IngestConfig, load_table
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger numba compilation once so timed tests measure compute."""
-    _kernels.hypergeom_lower_tail(10, 5, 4, 1)
-    _kernels.min_width_window(np.array([0.0, 1.0, 2.0]), 2)
-    _kernels.best_split_scan(np.array([1.0, 2.0, 3.0, 4.0]),
-                             np.array([1, 1, 0, 0], dtype=np.uint8), 1)
 
 
 @pytest.fixture(autouse=True)

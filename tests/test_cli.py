@@ -101,6 +101,14 @@ class TestReportWiring:
         err = capsys.readouterr().err
         assert "candidates" in err and "reported" in err
 
+    def test_rejected_rows_logged_to_stderr(self, tmp_path, capsys):
+        rows = [[i % 3, i % 2, "nan" if i == 4 else i % 2] for i in range(30)]
+        path = write_csv(tmp_path / "nan.csv", ["f", "label", "pred"], rows)
+        assert main([path, "-g", "label", "-p", "pred"]) == 0
+        captured = capsys.readouterr()
+        assert "rejected 1 rows" in captured.err and "(lines 6)" in captured.err
+        assert json.loads(captured.out)["dataset"]["records"] == 29
+
     def test_heuristic_subset(self, mixed_csv, capsys):
         assert main([mixed_csv, "-g", "label", "-p", "pred",
                      "--heuristics", "categorical"]) == 0
@@ -149,6 +157,17 @@ class TestStdinAndEnv:
         assert main([str(tmp_path / "ghost.csv"), "-g", "label",
                      "-p", "pred"]) == 1
         assert "SLICEMINER_FORMAT" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_no_scipy_or_numba_at_runtime(self):
+        code = ("import sys, sliceminer, sliceminer.cli; "
+                "print(sorted({'scipy', 'numba'} & "
+                "{name.partition('.')[0] for name in sys.modules}))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestHelpAndSelfCheck:

@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceminer.dataset import (ConfigError, DataError, FeatureKind,
                                 IngestConfig, infer_feature_kinds, load_table,
@@ -64,6 +66,22 @@ class TestLoadTable:
         ds = load_table(path, CONFIG)
         assert ds.n_records == 2
         assert ds.rejected_rows == (3, 5)  # header is line 1
+
+    def test_non_finite_numeric_target_is_missing(self, tmp_path):
+        rows = [["a", "1", "1.0"], ["b", "0", "0.0"], ["a", "1", "1"],
+                ["b", "nan", "1.0"], ["a", "0", "0"], ["b", "1", "1.0"]]
+        path = write_csv(tmp_path / "nan.csv", ["f", "label", "pred"], rows)
+        ds = load_table(path, CONFIG)
+        assert ds.correctness.tolist() == [True] * 5
+        assert ds.rejected_rows == (5,)  # header is line 1
+        assert ds.n_records == 5
+
+    def test_nan_stays_a_label_in_text_targets(self, tmp_path):
+        rows = [[1, "cat", "cat"], [2, "nan", "dog"], [3, "nan", "nan"]]
+        path = write_csv(tmp_path / "text.csv", ["f", "label", "pred"], rows)
+        ds = load_table(path, CONFIG)
+        assert ds.correctness.tolist() == [True, False, True]
+        assert ds.rejected_rows == ()
 
     def test_missing_feature_values_masked_not_dropped(self, tmp_path):
         rows = [[1.5, 1, 1], ["", 0, 1], [2.5, 1, 1], ["?", 0, 0]]
@@ -221,3 +239,69 @@ class TestSummarize:
         rng.shuffle(shuffled)
         other = summarize(self.build(tmp_path, shuffled))
         assert base == other
+
+
+NUMERIC_CELLS = st.integers(-6, 30).map(lambda i: repr(i / 2))
+TEXT_CELLS = st.sampled_from(["a", "b", "c", "nan"])
+TARGET_CELLS = st.sampled_from(["0", "1", "2", "nan"])
+
+
+@st.composite
+def tables(draw):
+    """(feature kind, cells) per column, plus label and prediction cells;
+    an empty string is a missing cell."""
+    n = draw(st.integers(1, 12))
+
+    def column(cells):
+        return draw(st.lists(cells, min_size=n, max_size=n))
+
+    features = [(kind, column(st.one_of(st.just(""), cells)))
+                for kind, cells in draw(st.lists(
+                    st.sampled_from([("numeric", NUMERIC_CELLS),
+                                     ("text", TEXT_CELLS)]),
+                    min_size=1, max_size=3))]
+    return features, column(TARGET_CELLS), column(TARGET_CELLS)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables())
+    def test_load_table_reads_back_what_was_written(self, tmp_path_factory,
+                                                    table):
+        features, labels, preds = table
+        names = [f"f{j}" for j in range(len(features))]
+        rows = [[cells[i] for _, cells in features] + [labels[i], preds[i]]
+                for i in range(len(labels))]
+        path = write_csv(tmp_path_factory.mktemp("roundtrip") / "t.csv",
+                         names + ["label", "pred"], rows)
+        kept = [i for i in range(len(labels))
+                if "nan" not in (labels[i], preds[i])]
+        if not kept:
+            with pytest.raises(DataError, match="no usable data rows"):
+                load_table(path, CONFIG)
+            return
+        if not {labels[i] for i in kept} & {preds[i] for i in kept}:
+            with pytest.raises(DataError, match="share no values"):
+                load_table(path, CONFIG)
+            return
+
+        ds = load_table(path, CONFIG)
+        assert ds.n_records == len(kept)
+        assert ds.rejected_rows == tuple(i + 2 for i in range(len(labels))
+                                         if i not in kept)
+        assert ds.correctness.tolist() == [labels[i] == preds[i] for i in kept]
+        for name, (kind, cells) in zip(names, features):
+            present = [cells[i] for i in kept if cells[i] != ""]
+            if kind == "numeric" or set(present) <= {"nan"}:
+                values = sorted({float(c) for c in present if c != "nan"})
+                want_labels = tuple(repr(v) for v in values)
+                want_kind = (FeatureKind.CATEGORICAL if len(values) <= 10
+                             else FeatureKind.CONTINUOUS)
+                want_missing = [cells[i] in ("", "nan") for i in kept]
+            else:
+                want_labels = tuple(sorted(set(present)))
+                want_kind = FeatureKind.CATEGORICAL
+                want_missing = [cells[i] == "" for i in kept]
+            assert ds.kind(name) is want_kind
+            assert ds.labels_for(name) == want_labels
+            assert ds.column(name).missing.tolist() == want_missing

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sliceminer import _kernels
 from sliceminer.dataset import DatasetSummary
 from sliceminer.model import Filters, Heuristic, Interval, ValueSet, make_slice
 from sliceminer.oracle import exhaustive_categorical_slices, slice_key_set
@@ -15,6 +16,7 @@ from sliceminer.slicer import (AnalysisConfig, evaluate_slice, filter_and_rank,
                                generate_higher_order, generate_one_way,
                                membership, min_support, perf_threshold,
                                run_analysis)
+from sliceminer.stats import hypergeom_lower_pvalue
 from tests.conftest import dataset_from_columns
 
 
@@ -350,3 +352,33 @@ class TestRunAnalysis:
         assert {sl.order for sl, _ in result.reported} >= {1, 2}
         assert max(evaluated.values()) == 1
         assert {sl.predicate_key() for sl, _ in result.reported} <= set(evaluated)
+
+    def test_each_tail_summed_once(self, tmp_path, monkeypatch):
+        ds = random_dataset(tmp_path, 5)
+        evaluated = set()
+        tails = Counter()
+        tail = _kernels.hypergeom_lower_tail
+
+        def counting_evaluate(dataset, sl):
+            stats = evaluate_slice(dataset, sl)
+            if stats.support:
+                evaluated.add((stats.support, stats.correct))
+            return stats
+
+        def counting_tail(population, successes, draws, observed):
+            tails[population, successes, draws, observed] += 1
+            return tail(population, successes, draws, observed)
+
+        monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
+        monkeypatch.setattr(_kernels, "hypergeom_lower_tail", counting_tail)
+        hypergeom_lower_pvalue.cache_clear()
+        run_analysis(ds, AnalysisConfig(max_order=3))
+        assert max(tails.values()) == 1
+        assert {key[:2] for key in tails} == {
+            (ds.n_records, int(ds.correctness.sum()))}
+        assert {key[2:] for key in tails} == evaluated
+
+        # a raised ValueError is not cached: the repeat raises too
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                hypergeom_lower_pvalue(10, 5, 4, 5)

@@ -12,16 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer.oracle import exact_hypergeom_pvalue
-from sliceminer.stats import (hypergeom_lower_pvalue, hypergeom_pmf,
-                              log_choose, wilson_interval)
-
-
-def pascal_choose(n: int, r: int) -> int:
-    """Binomial coefficient from an explicit Pascal triangle."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return row[r]
+from sliceminer.stats import hypergeom_lower_pvalue, wilson_interval
 
 
 def enumerated_draw_probability(population_correct: int, population: int,
@@ -35,65 +26,6 @@ def enumerated_draw_probability(population_correct: int, population: int,
         if sum(flags[i] for i in draw) == x:
             hits += 1
     return Fraction(hits, total)
-
-
-class TestLogChoose:
-    def test_zero_choose(self):
-        assert log_choose(5, 0) == 0.0
-
-    @pytest.mark.parametrize("n, r", [(10, 4), (52, 5), (30, 15), (100, 3)])
-    def test_matches_pascal_triangle(self, n, r):
-        expected = math.log(pascal_choose(n, r))
-        assert math.isclose(log_choose(n, r), expected, rel_tol=1e-12)
-
-    def test_c_10_4_value(self):
-        assert math.isclose(log_choose(10, 4), math.log(210), rel_tol=1e-12)
-
-    def test_r_greater_than_n_rejected(self):
-        with pytest.raises(ValueError):
-            log_choose(3, 4)
-
-    def test_exp_relative_error_large_n(self):
-        # spot-check the 1e-12 relative error bound at n = 10**6
-        got = log_choose(10**6, 3)
-        exact = math.comb(10**6, 3)
-        assert abs(math.exp(got) - exact) <= 1e-12 * exact
-
-
-class TestPmf:
-    def test_small_case_by_enumeration(self):
-        expected = enumerated_draw_probability(5, 10, 4, 0)
-        assert expected == Fraction(5, 210)
-        assert math.isclose(hypergeom_pmf(10, 5, 4, 0), float(expected),
-                            rel_tol=1e-12)
-
-    def test_all_success_population(self):
-        assert hypergeom_pmf(10, 10, 3, 3) == pytest.approx(1.0)
-
-    def test_support_bounds(self):
-        # N=300, K=230, n=21: support is x = 0..21
-        assert hypergeom_pmf(300, 230, 21, -1) == 0.0
-        assert hypergeom_pmf(300, 230, 21, 22) == 0.0
-        assert hypergeom_pmf(300, 230, 21, 0) > 0.0
-        assert hypergeom_pmf(300, 230, 21, 21) > 0.0
-
-    def test_outside_support_is_zero(self):
-        # n - (N - K) = 4 - 2 = 2, so x < 2 is impossible
-        assert hypergeom_pmf(10, 8, 4, 1) == 0.0
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            hypergeom_pmf(10, 11, 4, 0)
-        with pytest.raises(ValueError):
-            hypergeom_pmf(10, 5, 0, 0)
-
-    @pytest.mark.parametrize("population, successes, draws", [
-        (17, 9, 5), (40, 13, 11), (60, 59, 7), (25, 0, 6), (33, 33, 4),
-    ])
-    def test_pmf_sums_to_one(self, population, successes, draws):
-        total = math.fsum(hypergeom_pmf(population, successes, draws, x)
-                          for x in range(0, draws + 1))
-        assert total == pytest.approx(1.0, abs=1e-10)
 
 
 class TestLowerPValue:
