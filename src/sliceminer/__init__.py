@@ -2,8 +2,8 @@
 slices in labeled ML test data."""
 
 from .dataset import (ConfigError, DataError, Dataset, DatasetSummary,
-                      FeatureKind, IngestConfig, load_table,
-                      infer_feature_kinds, summarize)
+                      Feature, FeatureKind, IngestConfig, load_table,
+                      summarize)
 from .hpd import HpdConfig
 from .model import Filters, Heuristic, Interval, Slice, SliceStats, ValueSet
 from .report import RunReport, build_report, render
@@ -20,6 +20,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "DatasetSummary",
+    "Feature",
     "FeatureKind",
     "Filters",
     "Heuristic",
@@ -35,7 +36,6 @@ __all__ = [
     "filter_and_rank",
     "generate_higher_order",
     "generate_one_way",
-    "infer_feature_kinds",
     "load_table",
     "min_support",
     "perf_threshold",

@@ -1,11 +1,11 @@
-"""Tabular ingestion: parse delimited text, infer feature kinds, derive the
-per-record correctness mask and the whole-dataset accuracy summary.
+"""Tabular ingestion: parse delimited text, decide each feature's kind,
+derive the per-record correctness mask and the whole-dataset accuracy summary.
 
-Feature values live in two aligned representations: a float64 numeric view
-(parsed values for continuous features, dense category codes for categorical
-ones, NaN for missing) and, for categorical features, the original labels.
-Records with a missing value in a feature are excluded from that feature's
-slicing, never imputed.
+Each feature column becomes one ``Feature``: its kind, its labels and one
+float64 view (parsed values for continuous features, dense category codes
+for categorical ones, NaN for missing), all fixed at load.  Records with a
+missing value in a feature are excluded from that feature's slicing, never
+imputed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,14 +26,11 @@ __all__ = [
     "ConfigError",
     "DataError",
     "FeatureKind",
-    "Role",
     "IngestConfig",
-    "ColumnSchema",
-    "FeatureColumn",
+    "Feature",
     "Dataset",
     "DatasetSummary",
     "load_table",
-    "infer_feature_kinds",
     "summarize",
 ]
 
@@ -51,12 +48,6 @@ class FeatureKind(Enum):
     CONTINUOUS = "continuous"
 
 
-class Role(Enum):
-    FEATURE = "feature"
-    GROUND_TRUTH = "ground_truth"
-    PREDICTION = "prediction"
-
-
 @dataclass(frozen=True)
 class IngestConfig:
     ground_truth: str
@@ -69,82 +60,37 @@ class IngestConfig:
 
 
 @dataclass(frozen=True)
-class ColumnSchema:
+class Feature:
+    """One feature column.
+
+    ``values`` (float64, read-only) holds the parsed number of a continuous
+    feature or the dense code of a categorical one, NaN where missing.
+    ``labels`` holds the original token of each distinct present value, in
+    code order.
+    """
+
     name: str
     kind: FeatureKind
-    distinct_count: int
-    role: Role
+    values: np.ndarray
+    labels: tuple[str, ...]
 
-
-@dataclass(frozen=True)
-class FeatureColumn:
-    """One parsed feature column in both representations."""
-
-    name: str
-    numeric_parseable: bool
-    parsed: np.ndarray          # float64; NaN where missing (or unparseable)
-    codes: np.ndarray           # int32 dense codes; -1 where missing
-    labels: tuple[str, ...]     # label per code, in code order
-    missing: np.ndarray         # bool mask
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.labels)
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable columnar table plus the derived correctness mask."""
 
-    columns: tuple[FeatureColumn, ...]
-    schemas: tuple[ColumnSchema, ...]  # every column, targets included
-    ground_truth_name: str
-    prediction_name: str
+    features: dict[str, Feature]  # header order
     correctness: np.ndarray
     n_records: int
+    n_correct: int
     rejected_rows: tuple[int, ...]
 
     @property
-    def feature_schemas(self) -> tuple[ColumnSchema, ...]:
-        return tuple(s for s in self.schemas if s.role is Role.FEATURE)
-
-    @property
     def feature_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
-    def column(self, name: str) -> FeatureColumn:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise ConfigError(f"unknown feature column: {name!r}")
-
-    def schema(self, name: str) -> ColumnSchema:
-        for s in self.schemas:
-            if s.name == name:
-                return s
-        raise ConfigError(f"unknown column: {name!r}")
-
-    def kind(self, name: str) -> FeatureKind:
-        return self.schema(name).kind
-
-    def numeric_view(self, name: str) -> np.ndarray:
-        """float64 view used for interval logic and tree splits.
-
-        Continuous features expose parsed values; categorical ones expose
-        their dense codes.  Missing entries are NaN either way.
-        """
-        col = self.column(name)
-        if self.kind(name) is FeatureKind.CONTINUOUS:
-            return col.parsed
-        view = col.codes.astype(np.float64)
-        view[col.missing] = np.nan
-        return view
-
-    def codes_for(self, name: str) -> np.ndarray:
-        return self.column(name).codes
-
-    def labels_for(self, name: str) -> tuple[str, ...]:
-        return self.column(name).labels
+        return tuple(self.features)
 
 
 @dataclass(frozen=True)
@@ -165,81 +111,48 @@ def _try_parse(token: str) -> float | None:
         return None
 
 
-def _build_column(name: str, tokens: list[str], missing: np.ndarray) -> FeatureColumn:
-    n = len(tokens)
-    parsed = np.full(n, np.nan)
-    parseable = True
+def _build_feature(name: str, tokens: list[str], missing: list[bool],
+                   config: IngestConfig) -> Feature:
+    """Parse one column and decide its kind: an override wins, then a column
+    with a non-numeric token is categorical, then ``all_numeric`` makes it
+    continuous, then a distinct count at or below ``categorical_threshold``
+    makes it categorical.  In a numeric column, non-finite tokens (nan, inf)
+    are missing values."""
+    override = config.overrides.get(name)
+    parsed = np.full(len(tokens), np.nan)
     for i, tok in enumerate(tokens):
         if missing[i]:
             continue
         try:
             parsed[i] = float(tok)
         except ValueError:
-            parseable = False
-            break
+            if override is FeatureKind.CONTINUOUS:
+                raise ConfigError(f"column {name!r} is marked continuous but "
+                                  f"holds the non-numeric value {tok.strip()!r}"
+                                  ) from None
+            labels = tuple(sorted({t.strip() for t, gone in zip(tokens, missing)
+                                   if not gone}))
+            code = {label: c for c, label in enumerate(labels)}
+            values = np.array([np.nan if gone else code[t.strip()]
+                               for t, gone in zip(tokens, missing)],
+                              dtype=np.float64)
+            return Feature(name, FeatureKind.CATEGORICAL, values, labels)
 
-    codes = np.full(n, -1, dtype=np.int32)
-    if parseable:
-        # in a numeric column, non-finite tokens (nan, inf) are missing values
-        missing = ~np.isfinite(parsed)
-        parsed[missing] = np.nan
-        present = ~missing
-        values = parsed[present]
-        if values.size:
-            distinct, first_idx, inverse = np.unique(
-                values, return_index=True, return_inverse=True)
-            codes[present] = inverse.astype(np.int32)
-            present_tokens = [tokens[i].strip() for i in np.flatnonzero(present)]
-            labels = tuple(present_tokens[i] for i in first_idx)
-        else:
-            labels = ()
+    present = np.isfinite(parsed)
+    parsed[~present] = np.nan
+    _, first_idx, inverse = np.unique(parsed[present], return_index=True,
+                                      return_inverse=True)
+    rows = np.flatnonzero(present)
+    labels = tuple(tokens[i].strip() for i in rows[first_idx])
+    if override is not None:
+        kind = override
+    elif config.all_numeric or len(labels) > config.categorical_threshold:
+        kind = FeatureKind.CONTINUOUS
     else:
-        parsed = np.full(n, np.nan)
-        seen = sorted({tok.strip() for i, tok in enumerate(tokens) if not missing[i]})
-        index = {label: code for code, label in enumerate(seen)}
-        for i, tok in enumerate(tokens):
-            if not missing[i]:
-                codes[i] = index[tok.strip()]
-        labels = tuple(seen)
-
-    return FeatureColumn(name=name, numeric_parseable=parseable, parsed=parsed,
-                         codes=codes, labels=labels, missing=missing)
-
-
-def _infer_kinds(columns: Iterable[FeatureColumn],
-                 config: IngestConfig) -> tuple[ColumnSchema, ...]:
-    known = {c.name for c in columns}
-    for name in config.overrides:
-        if name not in known:
-            raise ConfigError(f"kind override names a nonexistent column: {name!r}")
-    schemas = []
-    for col in columns:
-        override = config.overrides.get(col.name)
-        if override is not None:
-            kind = override
-        elif not col.numeric_parseable:
-            kind = FeatureKind.CATEGORICAL
-        elif config.all_numeric:
-            kind = FeatureKind.CONTINUOUS
-        elif col.distinct_count <= config.categorical_threshold:
-            kind = FeatureKind.CATEGORICAL
-        else:
-            kind = FeatureKind.CONTINUOUS
-        schemas.append(ColumnSchema(name=col.name, kind=kind,
-                                    distinct_count=col.distinct_count,
-                                    role=Role.FEATURE))
-    return tuple(schemas)
-
-
-def infer_feature_kinds(dataset: Dataset, config: IngestConfig) -> tuple[ColumnSchema, ...]:
-    """Re-derive feature schemas from a loaded dataset under ``config``.
-
-    A feature is categorical when its values are not all numeric or when its
-    distinct count is at or below ``categorical_threshold``; explicit
-    overrides always win, and ``all_numeric`` forces every numeric-parseable
-    column to continuous.
-    """
-    return _infer_kinds(dataset.columns, config)
+        kind = FeatureKind.CATEGORICAL
+    if kind is FeatureKind.CATEGORICAL:
+        parsed[rows] = inverse
+    return Feature(name, kind, parsed, labels)
 
 
 def load_table(path: str, config: IngestConfig) -> Dataset:
@@ -317,27 +230,19 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
             f"{config.prediction!r} share no values; check the column names")
     correctness = np.array([g == p for g, p in zip(gt_values, pred_values)])
 
-    columns = []
+    known = set(header) - {config.ground_truth, config.prediction}
+    for name in config.overrides:
+        if name not in known:
+            raise ConfigError(f"kind override names a nonexistent column: {name!r}")
+    features = {}
     for idx, name in enumerate(header):
         if idx in (gt_idx, pred_idx):
             continue
         tokens = [row[idx] for row in kept]
-        missing = np.array([is_missing(t) for t in tokens])
-        columns.append(_build_column(name, tokens, missing))
-
-    schemas = list(_infer_kinds(columns, config))
-    schemas.append(ColumnSchema(name=config.ground_truth,
-                                kind=FeatureKind.CATEGORICAL,
-                                distinct_count=len(set(gt_values)),
-                                role=Role.GROUND_TRUTH))
-    schemas.append(ColumnSchema(name=config.prediction,
-                                kind=FeatureKind.CATEGORICAL,
-                                distinct_count=len(set(pred_values)),
-                                role=Role.PREDICTION))
-    return Dataset(columns=tuple(columns), schemas=tuple(schemas),
-                   ground_truth_name=config.ground_truth,
-                   prediction_name=config.prediction,
-                   correctness=correctness, n_records=len(kept),
+        missing = [is_missing(t) for t in tokens]
+        features[name] = _build_feature(name, tokens, missing, config)
+    return Dataset(features=features, correctness=correctness,
+                   n_records=len(kept), n_correct=int(correctness.sum()),
                    rejected_rows=tuple(rejected))
 
 
@@ -346,7 +251,7 @@ def summarize(dataset: Dataset, ci_level: float = 0.95) -> DatasetSummary:
     n = dataset.n_records
     if n < 1:
         raise DataError("cannot summarize an empty dataset")
-    k = int(dataset.correctness.sum())
+    k = dataset.n_correct
     low, high = wilson_interval(k, n, ci_level)
     return DatasetSummary(n_records=n, n_correct=k, metric=k / n,
                           ci_low=low, ci_high=high, ci_level=ci_level)

@@ -54,8 +54,8 @@ class ValueSet:
         if any(b <= a for a, b in zip(self.codes, self.codes[1:])):
             raise ValueError("codes must be strictly ascending")
 
-    def contains(self, codes: np.ndarray) -> np.ndarray:
-        return np.isin(codes, np.asarray(self.codes))
+    def contains(self, values: np.ndarray) -> np.ndarray:
+        return np.isin(values, np.asarray(self.codes))
 
 
 FeaturePredicate = Union[Interval, ValueSet]

@@ -60,15 +60,13 @@ def exhaustive_categorical_slices(dataset, filters):
     equality with the pipeline's one-way categorical output.
     """
     population = dataset.n_records
-    successes = int(dataset.correctness.sum())
+    successes = dataset.n_correct
     reported = set()
-    for schema in dataset.feature_schemas:
-        if schema.kind.value != "categorical":
+    for name, feature in dataset.features.items():
+        if feature.kind.value != "categorical":
             continue
-        codes = dataset.codes_for(schema.name)
-        labels = dataset.labels_for(schema.name)
-        for code, label in enumerate(labels):
-            member = codes == code
+        for code, label in enumerate(feature.labels):
+            member = feature.values == code
             n = int(member.sum())
             if n == 0 or n < filters.min_support:
                 continue
@@ -78,7 +76,7 @@ def exhaustive_categorical_slices(dataset, filters):
             p = float(exact_hypergeom_pvalue(population, successes, n, k))
             if p >= filters.p_value_max:
                 continue
-            reported.add((schema.name, label))
+            reported.add((name, label))
     return reported
 
 

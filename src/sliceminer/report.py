@@ -205,10 +205,10 @@ def build_report(result: AnalysisResult, dataset: Dataset,
             performance=stats.performance, p_value=stats.p_value))
         for name in sl.features:
             if name not in referenced:
-                kind = dataset.kind(name)
-                entry = {"kind": kind.value}
-                if kind is FeatureKind.CATEGORICAL:
-                    entry["values"] = list(dataset.labels_for(name))
+                feature = dataset.features[name]
+                entry = {"kind": feature.kind.value}
+                if feature.kind is FeatureKind.CATEGORICAL:
+                    entry["values"] = list(feature.labels)
                 referenced[name] = entry
 
     support_summary = tuple(summarize_supports(result.reported).values())

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dtree, hpd
-from .dataset import Dataset, DatasetSummary, FeatureKind, summarize
+from .dataset import (ConfigError, Dataset, DatasetSummary, FeatureKind,
+                      summarize)
 from .hpd import HpdConfig
 from .model import Filters, Heuristic, Slice, SliceStats, ValueSet, make_slice
 from .stats import hypergeom_lower_pvalue
@@ -118,17 +119,15 @@ def resolve_filters(summary: DatasetSummary, config: AnalysisConfig) -> Filters:
 def membership(dataset: Dataset, sl: Slice) -> np.ndarray:
     """Boolean mask of records satisfying every predicate of the slice.
 
-    Records missing a value in any of the slice's features are non-members.
+    Records missing a value (NaN) in any of the slice's features are
+    non-members: NaN lies in no interval and equals no code.
     """
     mask = np.ones(dataset.n_records, dtype=bool)
-    for name, pred in sl.predicates:
-        if isinstance(pred, ValueSet):
-            mask &= pred.contains(dataset.codes_for(name))
-        else:
-            values = dataset.numeric_view(name)
-            inside = pred.contains(values)
-            inside &= np.isfinite(values)
-            mask &= inside
+    try:
+        for name, pred in sl.predicates:
+            mask &= pred.contains(dataset.features[name].values)
+    except KeyError as exc:
+        raise ConfigError(f"unknown feature column: {exc.args[0]!r}") from None
     return mask
 
 
@@ -144,8 +143,7 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     if n == 0:
         return _EMPTY_STATS
     k = int(dataset.correctness[mask].sum())
-    p = hypergeom_lower_pvalue(dataset.n_records,
-                               int(dataset.correctness.sum()), n, k)
+    p = hypergeom_lower_pvalue(dataset.n_records, dataset.n_correct, n, k)
     return SliceStats(support=n, correct=k, performance=k / n, p_value=p)
 
 
@@ -170,22 +168,23 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
     """Single-feature analysis of ``name`` over the records in ``mask``:
     one slice per category value present, or one per HPD interval, each
     conjoined with the ``base`` predicates."""
+    feature = dataset.features[name]
+    categorical = feature.kind is FeatureKind.CATEGORICAL
+    heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
+
     def task() -> list[Slice]:
-        if dataset.kind(name) is FeatureKind.CATEGORICAL:
-            if Heuristic.CATEGORICAL not in config.heuristics:
-                return []
-            codes = dataset.codes_for(name)[mask]
-            labels = dataset.labels_for(name)
-            return [make_slice({**base, name: ValueSet(codes=(code,),
-                                                       labels=(labels[code],))},
-                               Heuristic.CATEGORICAL)
-                    for code in np.unique(codes[codes >= 0]).tolist()]
-        if Heuristic.HPD not in config.heuristics:
+        if heuristic not in config.heuristics:
             return []
-        intervals = hpd.hpd_scan(dataset.numeric_view(name)[mask],
-                                 dataset.correctness[mask], config.hpd)
-        return [make_slice({**base, name: interval}, Heuristic.HPD)
-                for interval in intervals]
+        values = feature.values[mask]
+        if categorical:
+            codes = np.unique(values[values >= 0]).astype(np.intp).tolist()
+            predicates = [ValueSet(codes=(code,), labels=(feature.labels[code],))
+                          for code in codes]
+        else:
+            predicates = hpd.hpd_scan(values, dataset.correctness[mask],
+                                      config.hpd)
+        return [make_slice({**base, name: pred}, heuristic)
+                for pred in predicates]
     return task
 
 
@@ -201,14 +200,14 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig) -> list[Slice]:
 
 def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
                 filters: Filters) -> list[Callable[[], list[Slice]]]:
-    kinds = {name: dataset.kind(name) for name in dataset.feature_names}
-    labels = {name: dataset.labels_for(name) for name in dataset.feature_names}
+    kinds = {name: f.kind for name, f in dataset.features.items()}
+    labels = {name: f.labels for name, f in dataset.features.items()}
     dt_config = dtree.DtConfig(min_leaf=filters.min_support,
                                max_depth=config.max_depth)
 
     def make_task(names: tuple[str, ...]) -> Callable[[], list[Slice]]:
         def task() -> list[Slice]:
-            features = [(name, dataset.numeric_view(name)) for name in names]
+            features = [(name, dataset.features[name].values) for name in names]
             try:
                 tree = dtree.fit_tree(features, dataset.correctness, dt_config)
             except ValueError:

@@ -64,6 +64,13 @@ class TestExitCodes:
         assert main([mixed_csv, "-g", "label", "-p", "pred",
                      "--pvalue", "1.5"]) == 1
 
+    def test_continuous_text_column_is_usage_error(self, mixed_csv, capsys):
+        code = main([mixed_csv, "-g", "label", "-p", "pred",
+                     "--continuous", "group"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'group'" in err and "'a'" in err
+
     def test_bad_knob_reported_before_input_is_read(self, tmp_path, capsys):
         code = main([str(tmp_path / "ghost.csv"), "-g", "label", "-p", "pred",
                      "--pvalue", "1.5"])

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer.dataset import (ConfigError, DataError, FeatureKind,
-                                IngestConfig, infer_feature_kinds, load_table,
-                                summarize)
+                                IngestConfig, load_table, summarize)
 from tests.conftest import write_csv
 
 
@@ -30,7 +29,9 @@ class TestLoadTable:
                 for _ in range(300)]
         ds = load_table(make_table(tmp_path, rows), CONFIG)
         assert ds.n_records == 300
+        assert ds.n_correct == int(ds.correctness.sum())
         assert ds.feature_names == ("credithistory", "age")
+        assert list(ds.features) == ["credithistory", "age"]
 
     def test_missing_prediction_column(self, tmp_path):
         path = make_table(tmp_path, [[1, 2, 1, 1]],
@@ -90,8 +91,8 @@ class TestLoadTable:
                                            prediction="pred",
                                            missing_token="?"))
         assert ds.n_records == 4
-        col = ds.column("x")
-        assert col.missing.tolist() == [False, True, False, True]
+        values = ds.features["x"].values
+        assert np.isnan(values).tolist() == [False, True, False, True]
 
     def test_numeric_labels_compare_numerically(self, tmp_path):
         rows = [[1, "1", "1.0"], [2, "0", "0"]]
@@ -111,16 +112,6 @@ class TestLoadTable:
         path = make_table(tmp_path, [[1, 2, 1, 1]])
         with pytest.raises(ConfigError):
             load_table(path, IngestConfig(ground_truth="label", prediction="label"))
-
-    def test_target_columns_have_role_schemas(self, tmp_path):
-        from sliceminer.dataset import Role
-        path = make_table(tmp_path, [[1, 25, 1, 1], [2, 30, 0, 1]])
-        ds = load_table(path, CONFIG)
-        roles = [s.role for s in ds.schemas]
-        assert roles.count(Role.GROUND_TRUTH) == 1
-        assert roles.count(Role.PREDICTION) == 1
-        assert len(ds.feature_schemas) == 2
-        assert all(s.role is Role.FEATURE for s in ds.feature_schemas)
 
     @pytest.mark.parametrize("header", ["label,pred,x", "x,label,pred"])
     @pytest.mark.parametrize("from_stdin", [False, True])
@@ -152,28 +143,27 @@ class TestInferKinds:
 
     def test_two_distinct_integers_categorical(self, tmp_path):
         ds, _ = self.build(tmp_path, [0, 1] * 20)
-        assert ds.kind("x") is FeatureKind.CATEGORICAL
+        assert ds.features["x"].kind is FeatureKind.CATEGORICAL
 
     def test_many_distinct_reals_continuous(self, tmp_path):
         ds, _ = self.build(tmp_path, [i + 0.5 for i in range(500)])
-        assert ds.kind("x") is FeatureKind.CONTINUOUS
+        assert ds.features["x"].kind is FeatureKind.CONTINUOUS
 
     def test_override_beats_inference(self, tmp_path):
-        ds, cfg = self.build(tmp_path, [i + 0.5 for i in range(500)],
-                             overrides={"x": FeatureKind.CATEGORICAL})
-        assert ds.kind("x") is FeatureKind.CATEGORICAL
-        schemas = infer_feature_kinds(ds, cfg)
-        assert schemas[0].kind is FeatureKind.CATEGORICAL
-        assert schemas[0].distinct_count == 500
+        ds, _ = self.build(tmp_path, [i + 0.5 for i in range(500)],
+                           overrides={"x": FeatureKind.CATEGORICAL})
+        assert ds.features["x"].kind is FeatureKind.CATEGORICAL
+        assert len(ds.features["x"].labels) == 500
+        assert ds.features["x"].values.tolist() == list(range(500))
 
     def test_text_column_always_categorical(self, tmp_path):
         ds, _ = self.build(tmp_path, ["a", "b", "c", "d"] * 5,
                            all_numeric=True)
-        assert ds.kind("x") is FeatureKind.CATEGORICAL
+        assert ds.features["x"].kind is FeatureKind.CATEGORICAL
 
     def test_all_numeric_forces_continuous(self, tmp_path):
         ds, _ = self.build(tmp_path, [0, 1, 2] * 10, all_numeric=True)
-        assert ds.kind("x") is FeatureKind.CONTINUOUS
+        assert ds.features["x"].kind is FeatureKind.CONTINUOUS
 
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="nonexistent"):
@@ -183,32 +173,45 @@ class TestInferKinds:
     def test_threshold_boundary(self, tmp_path):
         ds, _ = self.build(tmp_path, list(range(10)) * 3,
                            categorical_threshold=10)
-        assert ds.kind("x") is FeatureKind.CATEGORICAL
+        assert ds.features["x"].kind is FeatureKind.CATEGORICAL
         ds, _ = self.build(tmp_path, list(range(11)) * 3,
                            categorical_threshold=10)
-        assert ds.kind("x") is FeatureKind.CONTINUOUS
+        assert ds.features["x"].kind is FeatureKind.CONTINUOUS
 
     def test_codes_follow_numeric_order_and_keep_labels(self, tmp_path):
         ds, _ = self.build(tmp_path, [10, 2, 2, 30, 10])
-        col = ds.column("x")
-        assert col.labels == ("2", "10", "30")
-        assert col.codes.tolist() == [1, 0, 0, 2, 1]
+        feature = ds.features["x"]
+        assert feature.labels == ("2", "10", "30")
+        assert feature.values.tolist() == [1, 0, 0, 2, 1]
+
+    def test_continuous_override_on_text_column_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="column 'x' .* value 'b'"):
+            self.build(tmp_path, ["1", "", "b", "c"],
+                       overrides={"x": FeatureKind.CONTINUOUS})
+
+    def test_values_are_one_read_only_float_view(self, tmp_path):
+        ds, _ = self.build(tmp_path, ["b", "", "a"] * 5)
+        feature = ds.features["x"]
+        assert feature.values.dtype == np.float64
+        assert not feature.values.flags.writeable
+        assert feature.values[[0, 2]].tolist() == [1.0, 0.0]
+        assert np.isnan(feature.values[1])
 
     def test_non_finite_tokens_missing_in_numeric_column(self, tmp_path):
         column = [i + 0.5 for i in range(200)]
         column[7], column[50] = "NaN", "-inf"
         ds, _ = self.build(tmp_path, column)
-        assert ds.kind("x") is FeatureKind.CONTINUOUS
-        col = ds.column("x")
-        assert np.flatnonzero(col.missing).tolist() == [7, 50]
-        assert col.distinct_count == 198
-        assert np.isnan(ds.numeric_view("x")[[7, 50]]).all()
+        assert ds.features["x"].kind is FeatureKind.CONTINUOUS
+        feature = ds.features["x"]
+        assert np.flatnonzero(np.isnan(feature.values)).tolist() == [7, 50]
+        assert len(feature.labels) == 198
+        assert np.isfinite(np.delete(feature.values, [7, 50])).all()
 
     def test_nan_stays_a_label_in_text_column(self, tmp_path):
         ds, _ = self.build(tmp_path, ["a", "b", "nan"] * 5)
-        assert ds.kind("x") is FeatureKind.CATEGORICAL
-        assert ds.labels_for("x") == ("a", "b", "nan")
-        assert not ds.column("x").missing.any()
+        assert ds.features["x"].kind is FeatureKind.CATEGORICAL
+        assert ds.features["x"].labels == ("a", "b", "nan")
+        assert not np.isnan(ds.features["x"].values).any()
 
 
 class TestSummarize:
@@ -302,6 +305,7 @@ class TestCsvRoundTrip:
                 want_labels = tuple(sorted(set(present)))
                 want_kind = FeatureKind.CATEGORICAL
                 want_missing = [cells[i] == "" for i in kept]
-            assert ds.kind(name) is want_kind
-            assert ds.labels_for(name) == want_labels
-            assert ds.column(name).missing.tolist() == want_missing
+            feature = ds.features[name]
+            assert feature.kind is want_kind
+            assert feature.labels == want_labels
+            assert np.isnan(feature.values).tolist() == want_missing

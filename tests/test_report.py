@@ -121,7 +121,8 @@ class TestPredicateStrings:
         for sl, _ in result.reported[:40]:
             for name, pred in sl.predicates:
                 text = render_predicate(pred)
-                back = parse_predicate(text, ds.kind(name), ds.labels_for(name))
+                feature = ds.features[name]
+                back = parse_predicate(text, feature.kind, feature.labels)
                 rebuilt = make_slice(
                     {**dict(sl.predicates), name: back}, sl.heuristic)
                 assert (membership(ds, rebuilt) == membership(ds, sl)).all()

@@ -76,7 +76,7 @@ class TestEvaluateSlice:
 
     def test_statlog_worked_slice(self, tmp_path):
         ds = statlog_like(tmp_path)
-        labels = ds.labels_for("credithistory")
+        labels = ds.features["credithistory"].labels
         code = labels.index("5")
         sl = make_slice({"credithistory": ValueSet((code,), ("5",))},
                         Heuristic.CATEGORICAL)
@@ -172,9 +172,9 @@ class TestGenerateHigherOrder:
             {"group": group.tolist(), "x": [f"{v:.9f}" for v in x]},
             correct.tolist())
         seed = make_slice(
-            {"group": ValueSet((0,), (ds.labels_for("group")[0],))},
+            {"group": ValueSet((0,), (ds.features["group"].labels[0],))},
             Heuristic.CATEGORICAL)
-        assert ds.labels_for("group")[0] == "g"
+        assert ds.features["group"].labels[0] == "g"
         filters = Filters(min_support=5, perf_threshold=0.8, p_value_max=0.05)
         config = AnalysisConfig(heuristics=frozenset({Heuristic.HPD,
                                                       Heuristic.CATEGORICAL}))
@@ -223,7 +223,7 @@ class TestGenerateHigherOrder:
 class TestFilterAndRank:
     def test_insignificant_candidate_dropped(self, tmp_path):
         ds = statlog_like(tmp_path)
-        labels = ds.labels_for("credithistory")
+        labels = ds.features["credithistory"].labels
         sl = make_slice({"credithistory": ValueSet((labels.index("5"),), ("5",))},
                         Heuristic.CATEGORICAL)
         stats = evaluate_slice(ds, sl)  # p ~ 0.193
@@ -236,7 +236,7 @@ class TestFilterAndRank:
 
     def test_duplicate_predicates_merge_first_wins(self, tmp_path):
         ds = statlog_like(tmp_path)
-        labels = ds.labels_for("credithistory")
+        labels = ds.features["credithistory"].labels
         code = labels.index("0")
         as_cat = make_slice({"credithistory": ValueSet((code,), ("0",))},
                             Heuristic.CATEGORICAL)
