@@ -1,9 +1,11 @@
 """Small CART trees over 1-3 features, harvested for weak-region slices.
 
 The target is always binary: did the model predict this record correctly.
-The tree itself is never used as a predictor; every non-root node whose
-False-purity is high enough (and support large enough) becomes a slice
-candidate described by its path conditions.
+Rows missing a value in any of the tree's features are left out of it, so a
+subset with too few usable rows gives a root that is a leaf.  The tree itself
+is never used as a predictor; every non-root node that passes the support
+and performance gates becomes a slice candidate, concretized over the
+values of the rows the node holds.
 """
 
 from __future__ import annotations
@@ -14,29 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import best_split_scan
+from .dataset import Feature, FeatureKind
 from .model import Filters, Heuristic, Interval, Slice, ValueSet, make_slice
-from .dataset import FeatureKind
 
-__all__ = ["DtConfig", "TreeNode", "gini", "best_split", "fit_tree", "extract_slices"]
-
-
-@dataclass(frozen=True)
-class DtConfig:
-    min_leaf: int
-    max_depth: int
-
-    def __post_init__(self):
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be positive, got {self.min_leaf}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be positive, got {self.max_depth}")
+__all__ = ["TreeNode", "gini", "best_split", "fit_tree", "extract_slices"]
 
 
 @dataclass
 class TreeNode:
+    rows: np.ndarray  # dataset row indices of the node's records, ascending
     n_true: int
-    n_false: int
-    depth: int
     feature: Optional[str] = None
     threshold: Optional[float] = None
     left: Optional["TreeNode"] = field(default=None, repr=False)
@@ -48,7 +37,11 @@ class TreeNode:
 
     @property
     def size(self) -> int:
-        return self.n_true + self.n_false
+        return self.rows.size
+
+    @property
+    def n_false(self) -> int:
+        return self.size - self.n_true
 
 
 def gini(n_true: int, n_false: int) -> float:
@@ -80,117 +73,82 @@ def best_split(column: np.ndarray, target: np.ndarray,
     return float(threshold), float(decrease)
 
 
-def fit_tree(features: Sequence[tuple[str, np.ndarray]], correctness: np.ndarray,
-             config: DtConfig) -> TreeNode:
-    """Greedy recursive CART over up to three numeric columns.
+def fit_tree(features: Sequence[Feature], correctness: np.ndarray,
+             min_leaf: int, max_depth: int) -> TreeNode:
+    """Greedy recursive CART over the values of up to three features.
 
-    Rows with a missing (NaN) value in any selected column are excluded.
-    Fully deterministic: feature order, then smallest threshold, breaks ties.
+    Rows with a missing (NaN) value in any of the features are excluded;
+    no split leaves a child with fewer than ``min_leaf`` rows.  Fully
+    deterministic: feature order, then smallest threshold, breaks ties.
     """
     if not 1 <= len(features) <= 3:
-        raise ValueError(f"fit_tree takes 1-3 feature columns, got {len(features)}")
-    columns = [(name, np.asarray(col, dtype=np.float64)) for name, col in features]
+        raise ValueError(f"fit_tree takes 1-3 features, got {len(features)}")
     corr = np.asarray(correctness, dtype=bool)
     usable = np.ones(corr.shape, dtype=bool)
-    for _, col in columns:
-        usable &= np.isfinite(col)
-    if int(usable.sum()) < config.min_leaf:
-        raise ValueError(
-            f"only {int(usable.sum())} usable rows, need at least {config.min_leaf}")
-    columns = [(name, col[usable]) for name, col in columns]
-    corr = corr[usable]
+    for feature in features:
+        usable &= ~np.isnan(feature.values)
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         target = corr[rows]
-        n_true = int(target.sum())
-        node = TreeNode(n_true=n_true, n_false=target.size - n_true, depth=depth)
-        if depth >= config.max_depth or n_true == 0 or n_true == target.size:
+        node = TreeNode(rows=rows, n_true=int(target.sum()))
+        if depth >= max_depth or node.n_true in (0, rows.size):
             return node
-        best = None  # (decrease, feature index, threshold)
-        for idx, (_, col) in enumerate(columns):
-            found = best_split(col[rows], target, config.min_leaf)
-            if found is None:
-                continue
-            threshold, decrease = found
-            if best is None or decrease > best[0]:
-                best = (decrease, idx, threshold)
+        best = None  # (decrease, feature, threshold)
+        for feature in features:
+            found = best_split(feature.values[rows], target, min_leaf)
+            if found is not None and (best is None or found[1] > best[0]):
+                best = (found[1], feature, found[0])
         if best is None:
             return node
-        _, idx, threshold = best
-        name, col = columns[idx]
-        go_left = col[rows] <= threshold
-        node.feature = name
+        _, feature, threshold = best
+        go_left = feature.values[rows] <= threshold
+        node.feature = feature.name
         node.threshold = threshold
         node.left = build(rows[go_left], depth + 1)
         node.right = build(rows[~go_left], depth + 1)
         return node
 
-    return build(np.arange(corr.size), 0)
+    return build(np.flatnonzero(usable), 0)
 
 
-def extract_slices(tree: TreeNode, features: Sequence[tuple[str, np.ndarray]],
-                   kinds: dict[str, FeatureKind], filters: Filters,
-                   labels: dict[str, tuple[str, ...]] | None = None) -> list[Slice]:
-    """Harvest under-performing nodes as slice candidates.
+def extract_slices(tree: TreeNode, features: Sequence[Feature],
+                   filters: Filters) -> list[Slice]:
+    """Harvest under-performing nodes as slice candidates, in preorder.
 
-    Path conditions are merged into one range per feature, then concretized
-    over the node's actual member values: closed [min, max] intervals for
-    continuous features, explicit value sets for categorical ones.  Membership
-    of the concretized predicate reproduces the node exactly.  A node is kept
-    iff accuracy <= filters.perf_threshold and size >= filters.min_support;
-    identical predicates are deduped keeping the largest support.
+    A node is kept iff it passes ``filters.admits``.  Each feature split on
+    the path to it is concretized over the node's own rows: the closed
+    [min, max] interval of a continuous feature, the set of codes present
+    for a categorical one.  Among the tree's usable rows the predicate's
+    members are exactly the node's rows.  Rows missing only a feature the
+    path never split on are members too, so evaluation can count more
+    records than the node holds.  No two nodes of one tree give the same
+    predicate.
     """
-    labels = labels or {}
-    columns = {name: np.asarray(col, dtype=np.float64) for name, col in features}
-    usable = np.ones(next(iter(columns.values())).shape, dtype=bool)
-    for col in columns.values():
-        usable &= np.isfinite(col)
+    slices = []
 
-    harvested: dict[tuple, tuple[int, Slice]] = {}
-
-    def consider(node: TreeNode, mask: np.ndarray,
-                 bounds: dict[str, tuple[float, float]]) -> None:
-        n = node.size
-        if n < filters.min_support or n == 0:
-            return
-        if node.n_true / n > filters.perf_threshold:
-            return
+    def concretize(node: TreeNode, names: frozenset[str]) -> Slice:
         predicates = {}
-        for name, (low, high) in sorted(bounds.items()):
-            member_vals = columns[name][mask]
-            if kinds[name] is FeatureKind.CATEGORICAL:
+        for feature in features:
+            if feature.name not in names:
+                continue
+            member_vals = feature.values[node.rows]
+            if feature.kind is FeatureKind.CATEGORICAL:
                 codes = tuple(int(c) for c in np.unique(member_vals))
-                feature_labels = labels.get(name)
-                names = tuple(feature_labels[c] if feature_labels else str(c)
-                              for c in codes)
-                predicates[name] = ValueSet(codes=codes, labels=names)
+                predicates[feature.name] = ValueSet(
+                    codes=codes, labels=tuple(feature.labels[c] for c in codes))
             else:
-                predicates[name] = Interval(float(member_vals.min()),
-                                            float(member_vals.max()))
-        sl = make_slice(predicates, Heuristic.DT)
-        key = sl.predicate_key()
-        prior = harvested.get(key)
-        if prior is None or n > prior[0]:
-            harvested[key] = (n, sl)
+                predicates[feature.name] = Interval(float(member_vals.min()),
+                                                    float(member_vals.max()))
+        return make_slice(predicates, Heuristic.DT)
 
-    def walk(node: TreeNode, mask: np.ndarray,
-             bounds: dict[str, tuple[float, float]]) -> None:
+    def walk(node: TreeNode, names: frozenset[str]) -> None:
         if node.is_leaf:
             return
-        col = columns[node.feature]
-        low, high = bounds.get(node.feature, (-np.inf, np.inf))
-        left_mask = mask & (col <= node.threshold)
-        right_mask = mask & (col > node.threshold)
+        names = names | {node.feature}
+        for child in (node.left, node.right):
+            if filters.admits(child.size, child.n_true):
+                slices.append(concretize(child, names))
+            walk(child, names)
 
-        left_bounds = dict(bounds)
-        left_bounds[node.feature] = (low, min(high, node.threshold))
-        consider(node.left, left_mask, left_bounds)
-        walk(node.left, left_mask, left_bounds)
-
-        right_bounds = dict(bounds)
-        right_bounds[node.feature] = (max(low, node.threshold), high)
-        consider(node.right, right_mask, right_bounds)
-        walk(node.right, right_mask, right_bounds)
-
-    walk(tree, usable, {})
-    return [sl for _, sl in harvested.values()]
+    walk(tree, frozenset())
+    return slices

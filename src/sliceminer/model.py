@@ -126,3 +126,9 @@ class Filters:
             raise ValueError(f"min_support must be >= 2, got {self.min_support}")
         if not 0.0 < self.p_value_max < 1.0:
             raise ValueError(f"p_value_max must be in (0, 1), got {self.p_value_max}")
+
+    def admits(self, support: int, correct: int) -> bool:
+        """The support and performance gates: at least ``min_support``
+        records, accuracy at most ``perf_threshold``."""
+        return (support >= self.min_support
+                and correct / support <= self.perf_threshold)

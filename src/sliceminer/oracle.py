@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, comb
 
-from .model import Heuristic, Interval, Slice, ValueSet
+from .model import Heuristic, Interval, ValueSet
 
 __all__ = [
     "exact_hypergeom_pvalue",
@@ -81,11 +81,11 @@ def exhaustive_categorical_slices(dataset, filters):
 
 
 def slice_key_set(reported) -> set:
-    """Project pipeline output onto {(feature, label)} keys for 1-way
-    categorical slices, mirroring exhaustive_categorical_slices."""
+    """Project reported (Slice, SliceStats) pairs onto {(feature, label)}
+    keys for 1-way categorical slices, mirroring
+    exhaustive_categorical_slices."""
     keys = set()
-    for entry in reported:
-        sl: Slice = entry[0] if isinstance(entry, tuple) else entry.slice
+    for sl, _ in reported:
         if sl.order != 1 or sl.heuristic is not Heuristic.CATEGORICAL:
             continue
         (name, pred), = sl.predicates

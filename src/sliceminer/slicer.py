@@ -73,6 +73,8 @@ class AnalysisConfig:
             raise ValueError(f"support_floor must be >= 2, got {self.support_floor}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = set(self.heuristics) - ALL_HEURISTICS
@@ -200,19 +202,12 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig) -> list[Slice]:
 
 def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
                 filters: Filters) -> list[Callable[[], list[Slice]]]:
-    kinds = {name: f.kind for name, f in dataset.features.items()}
-    labels = {name: f.labels for name, f in dataset.features.items()}
-    dt_config = dtree.DtConfig(min_leaf=filters.min_support,
-                               max_depth=config.max_depth)
-
     def make_task(names: tuple[str, ...]) -> Callable[[], list[Slice]]:
         def task() -> list[Slice]:
-            features = [(name, dataset.features[name].values) for name in names]
-            try:
-                tree = dtree.fit_tree(features, dataset.correctness, dt_config)
-            except ValueError:
-                return []  # too few usable rows for this subset
-            return dtree.extract_slices(tree, features, kinds, filters, labels)
+            features = [dataset.features[name] for name in names]
+            tree = dtree.fit_tree(features, dataset.correctness,
+                                  filters.min_support, config.max_depth)
+            return dtree.extract_slices(tree, features, filters)
         return task
 
     return [make_task(names)
@@ -245,8 +240,7 @@ def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
     and rank by p-value, then support, then feature names."""
     first = {}
     for sl, stats in evaluated:
-        if (stats.support >= filters.min_support
-                and stats.performance <= filters.perf_threshold
+        if (filters.admits(stats.support, stats.correct)
                 and stats.p_value < filters.p_value_max):
             first.setdefault(sl.predicate_key(), (sl, stats))
     kept = list(first.values())
@@ -283,8 +277,7 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         emitted.extend(this_round)
 
     candidates = [(sl, stats) for sl, stats in emitted
-                  if stats.support >= filters.min_support
-                  and stats.performance <= filters.perf_threshold]
+                  if filters.admits(stats.support, stats.correct)]
     reported = filter_and_rank(emitted, filters)
 
     candidate_counts = dict(Counter((sl.heuristic.value, sl.order)

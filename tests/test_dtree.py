@@ -5,9 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sliceminer.dataset import FeatureKind
-from sliceminer.dtree import DtConfig, best_split, extract_slices, fit_tree, gini
+from sliceminer.dataset import Dataset, Feature, FeatureKind
+from sliceminer.dtree import best_split, extract_slices, fit_tree, gini
 from sliceminer.model import Filters, Interval, ValueSet
+from sliceminer.slicer import evaluate_slice
+
+
+def continuous(name, values):
+    return Feature(name, FeatureKind.CONTINUOUS,
+                   np.array(values, dtype=np.float64), ())
+
+
+def categorical(name, codes, labels=None):
+    codes = np.array(codes, dtype=np.float64)
+    if labels is None:
+        labels = tuple(f"v{c}" for c in range(int(np.nanmax(codes)) + 1))
+    return Feature(name, FeatureKind.CATEGORICAL, codes, tuple(labels))
 
 
 def exhaustive_best_split(column, target, min_leaf):
@@ -90,15 +103,15 @@ class TestBestSplit:
 
 class TestFitTree:
     def test_all_correct_single_leaf(self):
-        tree = fit_tree([("f", np.arange(10.0))], np.ones(10, dtype=bool),
-                        DtConfig(min_leaf=1, max_depth=5))
+        tree = fit_tree([continuous("f", np.arange(10.0))],
+                        np.ones(10, dtype=bool), min_leaf=1, max_depth=5)
         assert tree.is_leaf
         assert tree.n_true == 10 and tree.n_false == 0
 
     def test_depth_one_pure_children(self):
-        tree = fit_tree([("f", np.array([1.0, 2.0, 3.0, 4.0]))],
+        tree = fit_tree([continuous("f", [1.0, 2.0, 3.0, 4.0])],
                         np.array([True, True, False, False]),
-                        DtConfig(min_leaf=1, max_depth=5))
+                        min_leaf=1, max_depth=5)
         assert tree.feature == "f" and tree.threshold == pytest.approx(2.5)
         assert tree.left.is_leaf and tree.left.n_false == 0
         assert tree.right.is_leaf and tree.right.n_true == 0
@@ -110,7 +123,8 @@ class TestFitTree:
         x = np.repeat(np.tile(cell, 2), 8)
         y = np.repeat(np.repeat(cell, 2), 8)
         correct = ~((x > 0.5) ^ (y > 0.5))
-        tree = fit_tree([("x", x), ("y", y)], correct, DtConfig(min_leaf=1, max_depth=2))
+        tree = fit_tree([continuous("x", x), continuous("y", y)], correct,
+                        min_leaf=1, max_depth=2)
         assert not tree.is_leaf and tree.threshold == pytest.approx(0.5)
         for child in (tree.left, tree.right):
             assert not child.is_leaf and child.threshold == pytest.approx(0.5)
@@ -121,34 +135,49 @@ class TestFitTree:
 
     def test_children_partition_parent(self):
         rng = np.random.default_rng(4)
-        cols = [("a", rng.normal(size=300)), ("b", rng.uniform(size=300))]
+        cols = [continuous("a", rng.normal(size=300)),
+                continuous("b", rng.uniform(size=300))]
         correct = rng.random(300) < 0.7
-        tree = fit_tree(cols, correct, DtConfig(min_leaf=10, max_depth=5))
+        tree = fit_tree(cols, correct, min_leaf=10, max_depth=5)
 
         def check(node):
             if node.is_leaf:
                 return
             assert node.left.size + node.right.size == node.size
             assert node.left.n_true + node.right.n_true == node.n_true
+            both = np.concatenate([node.left.rows, node.right.rows])
+            assert np.array_equal(np.sort(both), node.rows)
             check(node.left)
             check(node.right)
 
         check(tree)
 
     def test_missing_rows_excluded(self):
-        col = np.array([1.0, 2.0, np.nan, 3.0, 4.0, np.nan])
+        col = [1.0, 2.0, np.nan, 3.0, 4.0, np.nan]
         correct = np.array([True, True, False, False, False, True])
-        tree = fit_tree([("f", col)], correct, DtConfig(min_leaf=1, max_depth=5))
+        tree = fit_tree([continuous("f", col)], correct, min_leaf=1, max_depth=5)
         assert tree.size == 4
+        assert tree.rows.tolist() == [0, 1, 3, 4]  # dataset row indices
+        assert tree.left.rows.tolist() == [0, 1]
 
-    def test_too_few_rows_rejected(self):
-        with pytest.raises(ValueError):
-            fit_tree([("f", np.array([np.nan, 1.0]))],
-                     np.array([True, False]), DtConfig(min_leaf=2, max_depth=5))
+    @pytest.mark.parametrize("col, correct, min_leaf", [
+        ([np.nan, 1.0], [True, False], 2),
+        ([np.nan, np.nan], [True, False], 1),
+        ([1.0, 2.0, np.nan, 3.0], [True, False, False, True], 2),
+    ], ids=["below-min-leaf", "none-usable", "below-twice-min-leaf"])
+    def test_too_few_rows_give_a_leaf_root(self, col, correct, min_leaf):
+        features = [continuous("f", col)]
+        tree = fit_tree(features, np.array(correct), min_leaf=min_leaf,
+                        max_depth=5)
+        assert tree.is_leaf
+        assert tree.size == int(np.isfinite(col).sum())
+        filters = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
+        assert extract_slices(tree, features, filters) == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        cols = [("a", rng.normal(size=200)), ("b", rng.normal(size=200))]
+        cols = [continuous("a", rng.normal(size=200)),
+                continuous("b", rng.normal(size=200))]
         correct = rng.random(200) < 0.6
 
         def shape(node):
@@ -156,40 +185,59 @@ class TestFitTree:
                 return (node.n_true, node.n_false)
             return (node.feature, node.threshold, shape(node.left), shape(node.right))
 
-        t1 = fit_tree(cols, correct, DtConfig(min_leaf=5, max_depth=5))
-        t2 = fit_tree(cols, correct, DtConfig(min_leaf=5, max_depth=5))
+        t1 = fit_tree(cols, correct, min_leaf=5, max_depth=5)
+        t2 = fit_tree(cols, correct, min_leaf=5, max_depth=5)
         assert shape(t1) == shape(t2)
 
 
-def count_members(features, slice_obj, correctness):
-    mask = np.ones(len(correctness), dtype=bool)
-    columns = dict(features)
+def member_mask(features, slice_obj):
+    mask = np.ones(features[0].values.size, dtype=bool)
+    by_name = {feature.name: feature for feature in features}
     for name, pred in slice_obj.predicates:
-        values = np.asarray(columns[name], dtype=float)
+        values = by_name[name].values
         if isinstance(pred, ValueSet):
             mask &= np.isin(values, np.asarray(pred.codes, dtype=float))
         else:
             mask &= pred.contains(values) & np.isfinite(values)
+    return mask
+
+
+def count_members(features, slice_obj, correctness):
+    mask = member_mask(features, slice_obj)
     return int(mask.sum()), int(np.asarray(correctness)[mask].sum())
 
 
-class TestExtractSlices:
-    kinds = {"f": FeatureKind.CONTINUOUS, "g": FeatureKind.CONTINUOUS}
+def harvested_nodes(tree, filters):
+    """Non-root nodes passing the gates, in the preorder extract_slices uses."""
+    nodes = []
 
+    def walk(node):
+        if node.is_leaf:
+            return
+        for child in (node.left, node.right):
+            if filters.admits(child.size, child.n_true):
+                nodes.append(child)
+            walk(child)
+
+    walk(tree)
+    return nodes
+
+
+class TestExtractSlices:
     def test_pure_true_tree_empty(self):
-        features = [("f", np.arange(20.0))]
-        tree = fit_tree(features, np.ones(20, dtype=bool),
-                        DtConfig(min_leaf=1, max_depth=5))
-        got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
+        features = [continuous("f", np.arange(20.0))]
+        tree = fit_tree(features, np.ones(20, dtype=bool), min_leaf=1,
+                        max_depth=5)
+        got = extract_slices(tree, features,
                              Filters(min_support=2, perf_threshold=0.5,
                                      p_value_max=0.05))
         assert got == []
 
     def test_depth_one_false_child_harvested(self):
-        features = [("f", np.array([1.0, 2.0, 3.0, 4.0, 5.0]))]
+        features = [continuous("f", [1.0, 2.0, 3.0, 4.0, 5.0])]
         correct = np.array([True, True, False, False, False])
-        tree = fit_tree(features, correct, DtConfig(min_leaf=2, max_depth=5))
-        got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
+        tree = fit_tree(features, correct, min_leaf=2, max_depth=5)
+        got = extract_slices(tree, features,
                              Filters(min_support=2, perf_threshold=0.5,
                                      p_value_max=0.05))
         assert len(got) == 1
@@ -200,11 +248,12 @@ class TestExtractSlices:
 
     def test_node_counts_reproduced_exactly(self):
         rng = np.random.default_rng(13)
-        features = [("f", rng.normal(size=400)), ("g", rng.uniform(size=400))]
+        features = [continuous("f", rng.normal(size=400)),
+                    continuous("g", rng.uniform(size=400))]
         correct = rng.random(400) < 0.65
-        tree = fit_tree(features, correct, DtConfig(min_leaf=10, max_depth=5))
+        tree = fit_tree(features, correct, min_leaf=10, max_depth=5)
         filters = Filters(min_support=10, perf_threshold=0.75, p_value_max=0.05)
-        for sl in extract_slices(tree, features, self.kinds, filters):
+        for sl in extract_slices(tree, features, filters):
             n, k = count_members(features, sl, correct)
             assert n >= filters.min_support
             assert k / n <= filters.perf_threshold
@@ -212,13 +261,11 @@ class TestExtractSlices:
     def test_categorical_codes_render_as_value_sets(self):
         codes = np.array([0.0, 1.0, 2.0, 3.0] * 10)
         correct = codes >= 2.0  # codes 0 and 1 always wrong
-        features = [("c", codes)]
-        labels = {"c": ("red", "green", "blue", "grey")}
-        tree = fit_tree(features, correct, DtConfig(min_leaf=2, max_depth=5))
-        got = extract_slices(tree, features, {"c": FeatureKind.CATEGORICAL},
+        features = [categorical("c", codes, ("red", "green", "blue", "grey"))]
+        tree = fit_tree(features, correct, min_leaf=2, max_depth=5)
+        got = extract_slices(tree, features,
                              Filters(min_support=2, perf_threshold=0.5,
-                                     p_value_max=0.05),
-                             labels)
+                                     p_value_max=0.05))
         assert got
         weak = [sl for sl in got for _, pred in sl.predicates
                 if isinstance(pred, ValueSet) and pred.codes == (0, 1)]
@@ -230,9 +277,9 @@ class TestExtractSlices:
         # false band in the middle of one feature forces two cuts on it
         values = np.linspace(0.0, 1.0, 200)
         correct = ~((values >= 0.4) & (values <= 0.6))
-        features = [("f", values)]
-        tree = fit_tree(features, correct, DtConfig(min_leaf=5, max_depth=3))
-        got = extract_slices(tree, features, {"f": FeatureKind.CONTINUOUS},
+        features = [continuous("f", values)]
+        tree = fit_tree(features, correct, min_leaf=5, max_depth=3)
+        got = extract_slices(tree, features,
                              Filters(min_support=5, perf_threshold=0.5,
                                      p_value_max=0.05))
         assert any(sl.order == 1 for sl in got)
@@ -241,3 +288,59 @@ class TestExtractSlices:
         assert band, "no harvested node isolates the false band"
         (_, interval), = band[0].predicates
         assert 0.4 <= interval.low < interval.high <= 0.6
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_keys_distinct_and_members_are_node_rows(self, seed):
+        # the invariant that lets extract_slices skip a dedupe: one tree
+        # never gives two nodes the same predicate, and each predicate picks
+        # out exactly its node among the rows the tree could use
+        rng = np.random.default_rng(seed)
+        n = 300
+        features = []
+        for i in range(rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                values = rng.integers(0, rng.integers(2, 7), n).astype(float)
+                make = categorical
+            else:
+                values = np.round(rng.normal(size=n), 1)
+                make = continuous
+            values[rng.random(n) < 0.1] = np.nan
+            features.append(make(f"f{i}", values))
+        correct = rng.random(n) < 0.7
+        for j, feature in enumerate(features):  # plant a weak region each
+            correct &= ~((feature.values < np.nanmedian(feature.values))
+                         & (rng.random(n) < 0.3 + 0.2 * j))
+        min_leaf = int(rng.integers(2, 12))
+        tree = fit_tree(features, correct, min_leaf=min_leaf, max_depth=5)
+        filters = Filters(min_support=min_leaf, perf_threshold=0.7,
+                          p_value_max=0.05)
+        got = extract_slices(tree, features, filters)
+        nodes = harvested_nodes(tree, filters)
+        assert len(got) == len(nodes)
+        keys = [sl.predicate_key() for sl in got]
+        assert len(set(keys)) == len(keys)
+        usable = np.flatnonzero(
+            np.all([np.isfinite(f.values) for f in features], axis=0))
+        for sl, node in zip(got, nodes):
+            members = usable[member_mask(features, sl)[usable]]
+            assert np.array_equal(members, node.rows)
+
+    def test_missing_off_path_cells_counted_by_evaluation(self):
+        # the tree over (x, y) splits on x only; rows missing y are outside
+        # every node but inside the order-1 slice it yields
+        x = np.tile(np.arange(10.0), 4)
+        y = np.zeros(40)
+        y[[0, 1, 10]] = np.nan
+        correct = x >= 5.0
+        features = [continuous("x", x), continuous("y", y)]
+        tree = fit_tree(features, correct, min_leaf=2, max_depth=5)
+        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
+        (sl,) = extract_slices(tree, features, filters)
+        (node,) = harvested_nodes(tree, filters)
+        assert sl.features == ("x",)
+        assert node.size == 17
+        dataset = Dataset(features={f.name: f for f in features},
+                          correctness=correct, n_records=40,
+                          n_correct=int(correct.sum()), rejected_rows=())
+        stats = evaluate_slice(dataset, sl)
+        assert (stats.support, stats.correct) == (20, 0)

@@ -1,8 +1,9 @@
 """The benchmark workloads: report bytes and the benchmark's trace hooks.
 
-The three inputs are the ones ``perfbench/run.py`` writes at seed 1; the
-hashes pin the JSON, markdown and CSV reports the CLI produced for them.  A
-change that moves any of these bytes changes behaviour and must say so.
+The inputs are the ones ``perfbench/run.py`` writes for its three workloads
+at seeds 1, 7 and 23; the hashes pin the JSON, markdown and CSV reports the
+CLI produced for them.  A change that moves any of these bytes changes
+behaviour and must say so.
 The trace test runs ``perfbench/child.py`` the way a traced benchmark run
 does, so renaming a function the benchmark wraps fails here.
 """
@@ -40,25 +41,53 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("writer, rows, max_order, hashes", [
-    ("write_planted", 2000, 2, {
+@pytest.mark.parametrize("writer, rows, max_order, seed, hashes", [
+    ("write_planted", 2000, 2, 1, {
         "json": "8b0a9f38cf2cb626b4d9a18503c1d2df83a99faa611dea78286b4ba2967c8467",
         "markdown": "3d39fb362519681debb8879cb80aa637b011b9407bf3fbcf39274a434f213869",
         "csv": "72476e8beb04b08d52878e9da74bd27edee710f17a32708891ecd4baa5fd675b"}),
-    ("write_planted", 220, 3, {
+    ("write_planted", 220, 3, 1, {
         "json": "4249679b4ceb4a95b12aeb33a85ff9a626b34e20102340e152cd2d31d385d458",
         "markdown": "704108e873f87154662e5e6afb4a57105efb10408a5b88d6ad4a641a28231e71",
         "csv": "9b2f4e31183477e700556ac655acb4a1fe86f2e6b6d4d8f7758866777d6ee110"}),
-    ("write_null", 1500, 2, {
+    ("write_null", 1500, 2, 1, {
         "json": "f12054cca9ae001fb726b711d2c9044983ae58dc326a3e6b7539cbc7d24a9d49",
         "markdown": "8a069696b311fd583a2023a41044feefd06e252a282ba811dc0bdbc6b83a0f95",
         "csv": "688d31dafbd8a34cc783b5cd13beeb5399759a32166f32390d97d65cb2415147"}),
-], ids=["planted-2k-o2", "order3-220", "null-1500-o2"])
+    ("write_planted", 2000, 2, 7, {
+        "json": "4367df90de9d361a63b906cc57b4f0a89f798dc0943fb48c8d66c28200c82bc9",
+        "markdown": "e2937e63624a52c09e88f43a83b34c7275d18c5764673068547758d3e9b35e61",
+        "csv": "082b77f9b3986867d41783f3843f2bdb9dc5055afe0fd1e84bd76c0ba8a1075b"}),
+    ("write_planted", 220, 3, 7, {
+        "json": "fdbb691885a1357f4be514b3816099f76f40eff0038ca2ec1c000c5a619fe978",
+        "markdown": "b02e416c996b21819efec32fa41aeb41d97f367d58e19b52d94b5cc60c6d74df",
+        "csv": "dab9465d6b5e85d0db4b29982c1884040c9e88538a6bbde7f3f9f1111fb2220b"}),
+    ("write_null", 1500, 2, 7, {
+        "json": "bf1660eeb1f6f7e82b5a0efd0d181f32a2f988715ffac55809704a090e25022c",
+        "markdown": "170b62cdfce98ad4a73f602da970b7af72b12eefbef25f22286a5862984f4784",
+        "csv": "e76b704fe44dcf71ee73ab0fd488380474432a081ced857f022057e88fa197ce"}),
+    ("write_planted", 2000, 2, 23, {
+        "json": "2def72cfd3919d291b38ec3998290f2943d57efde871951f2588866a46ce669e",
+        "markdown": "1e1ebd3a3be3def290218887feaf6d5884e383e444829de72aac554d0bcb937d",
+        "csv": "f839833f8b58924220f251b5fb7146e5e13ad1816667d01a4c8f14f9189c009a"}),
+    ("write_planted", 220, 3, 23, {
+        "json": "19480444ab5963517beb1e4c8b849aa03297f211f817bf4226d1683f9bfd1bd0",
+        "markdown": "032984006fe255f400593d7c643ff3dde25b5094fa64da37bc0e806e19e2326b",
+        "csv": "6c26691d97939bb7ce3a30ca10540fdcad442561b745529dda776e3194b9afed"}),
+    ("write_null", 1500, 2, 23, {
+        "json": "421e0912f17a83f90e6a7d71857e19228c7d6d8b9f0e59835ac7756b4eac8af7",
+        "markdown": "cff9026cb281a68f8dd764c4d289f7e269c7022deb5adc339b09712f8afadcb6",
+        "csv": "03996c1cafbad5fd5903c62b125744262d51bf1c5a9c0d71edfd988b4900f98e"}),
+], ids=[
+    "planted-2k-o2", "order3-220", "null-1500-o2",
+    "planted-2k-o2-seed7", "order3-220-seed7", "null-1500-o2-seed7",
+    "planted-2k-o2-seed23", "order3-220-seed23", "null-1500-o2-seed23",
+])
 def test_report_bytes_unchanged(tmp_path, monkeypatch, writer, rows, max_order,
-                                hashes):
+                                seed, hashes):
     data = tmp_path / "data.csv"
     report = tmp_path / "report.json"
-    getattr(load_fixtures(), writer)(str(data), rows, 1)
+    getattr(load_fixtures(), writer)(str(data), rows, seed)
     renders = {}
     render = cli.render
 

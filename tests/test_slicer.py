@@ -25,6 +25,13 @@ def summary_of(n, k, ci_low=0.0, ci_high=1.0):
                           ci_low=ci_low, ci_high=ci_high, ci_level=0.95)
 
 
+class TestAnalysisConfig:
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_max_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            AnalysisConfig(max_depth=depth)
+
+
 class TestMinSupport:
     def test_adult_scale(self):
         summary = summary_of(14653, 14653 - 2169)
