@@ -58,9 +58,10 @@ def best_split(column: np.ndarray, target: np.ndarray,
                min_leaf: int) -> Optional[tuple[float, float]]:
     """Best (threshold, gini decrease) for one column, or None.
 
-    Thresholds sit at midpoints between consecutive distinct sorted values.
-    Pure targets and columns without a legal boundary yield None.  Ties break
-    to the smallest threshold.
+    The threshold is the largest value sent left: a row goes left iff its
+    value is at most the threshold, exactly the rows the split was scored
+    on.  Pure targets and columns without a legal boundary yield None.
+    Ties break to the smallest threshold.
     """
     col = np.asarray(column, dtype=np.float64)
     tgt = np.asarray(target, dtype=bool)
@@ -69,8 +70,7 @@ def best_split(column: np.ndarray, target: np.ndarray,
     pos, decrease = best_split_scan(sorted_col, tgt[order], min_leaf)
     if pos < 0:
         return None
-    threshold = (sorted_col[pos] + sorted_col[pos + 1]) / 2.0
-    return float(threshold), float(decrease)
+    return float(sorted_col[pos]), float(decrease)
 
 
 def fit_tree(features: Sequence[Feature], correctness: np.ndarray,

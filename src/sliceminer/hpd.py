@@ -7,20 +7,27 @@ means at least one of the just-discarded side strips is.  Once the density
 budget for the current working sample is spent, the densest interval's
 records are dropped and the search restarts on the remainder, until fewer
 than ``min_density_floor`` of the original records are left.
+
+An interval's members are all records equal to or between its end values.
+A window of ``m`` consecutive sorted records that ends inside a run of equal
+values therefore stands for an interval holding the whole run, more than
+``m`` records; its accuracy, the next shrink and the restart's drop all use
+those members.  The scan works on index ranges of the sorted working sample:
+each value's run bounds and the prefix sums of correctness are computed
+once per working sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ._kernels import min_width_window
 from .model import Interval
 
-__all__ = ["HpdConfig", "shortest_interval", "shrink_step", "hpd_scan"]
+__all__ = ["HpdConfig", "shortest_interval", "hpd_scan"]
 
 # accuracy deltas at or below this are treated as ties (neither branch emits)
 _TIE_TOLERANCE = 1e-12
@@ -57,36 +64,6 @@ def shortest_interval(sorted_values: np.ndarray, proportion: float) -> Interval:
     return Interval(float(values[i]), float(values[i + m - 1]))
 
 
-def shrink_step(sorted_values: np.ndarray, current: Interval,
-                target_density: float
-                ) -> tuple[Interval, Optional[Interval], Optional[Interval]]:
-    """Shrink ``current`` to the shortest window at ``target_density``.
-
-    The density is a fraction of ``sorted_values``; the window is searched
-    among the records falling inside ``current``.  Returns the inner interval
-    plus closed intervals over the actual discarded values on each side (None
-    when a side loses nothing).
-    """
-    values = np.asarray(sorted_values, dtype=np.float64)
-    m = math.ceil(target_density * values.size)
-    if m < 1:
-        raise ValueError(
-            f"target density {target_density} leaves fewer than 1 record")
-    lo = int(np.searchsorted(values, current.low, side="left"))
-    hi = int(np.searchsorted(values, current.high, side="right"))
-    inside = values[lo:hi]
-    if inside.size == 0:
-        raise ValueError("current interval holds no records")
-    m = min(m, inside.size)
-    j = min_width_window(inside, m)
-    inner = Interval(float(inside[j]), float(inside[j + m - 1]))
-    left = inside[:j]
-    right = inside[j + m:]
-    left_strip = Interval(float(left[0]), float(left[-1])) if left.size else None
-    right_strip = Interval(float(right[0]), float(right[-1])) if right.size else None
-    return inner, left_strip, right_strip
-
-
 def hpd_scan(values: np.ndarray, correctness: np.ndarray,
              config: HpdConfig) -> list[Interval]:
     """Run the shrink loop over one numeric feature.
@@ -108,33 +85,43 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray,
     stop_records = config.min_density_floor * original
     out: list[Interval] = []
 
-    def span_accuracy(work_v, work_c, interval: Interval) -> float:
-        lo = int(np.searchsorted(work_v, interval.low, side="left"))
-        hi = int(np.searchsorted(work_v, interval.high, side="right"))
-        return float(work_c[lo:hi].mean())
-
     while work_v.size >= 2 and work_v.size >= stop_records:
+        n = work_v.size
+        bound = work_v.tolist()
+        # [first[i], past[i]) are the records equal to work_v[i]
+        first = np.searchsorted(work_v, work_v, side="left").tolist()
+        past = np.searchsorted(work_v, work_v, side="right").tolist()
+        cum = [0, *np.cumsum(work_c).tolist()]
+
+        def window(lo: int, hi: int, density: float) -> tuple[int, int]:
+            """Records [j, k) of the narrowest window inside [lo, hi)."""
+            m = min(math.ceil(density * n), hi - lo)
+            j = lo + min_width_window(work_v[lo:hi], m)
+            return j, j + m
+
         density = config.initial_density
         # the shrink budget scales with how much of the original sample is left
-        density_floor = config.min_density_floor * (work_v.size / original)
-        prev = shortest_interval(work_v, density)
-        prev_acc = span_accuracy(work_v, work_c, prev)
+        density_floor = config.min_density_floor * (n / original)
+        j, k = window(0, n, density)
+        lo, hi = first[j], past[k - 1]
+        acc = (cum[hi] - cum[lo]) / (hi - lo)
         while True:
             next_density = density - config.epsilon
             if next_density < density_floor:
                 break
-            inner, left_strip, right_strip = shrink_step(work_v, prev, next_density)
-            inner_acc = span_accuracy(work_v, work_c, inner)
-            if inner_acc < prev_acc - _TIE_TOLERANCE:
-                out.append(inner)
-            elif inner_acc > prev_acc + _TIE_TOLERANCE:
-                if left_strip is not None:
-                    out.append(left_strip)
-                if right_strip is not None:
-                    out.append(right_strip)
-            prev, prev_acc, density = inner, inner_acc, next_density
-        dropped = prev.contains(work_v)
-        if dropped.all():
+            j, k = window(lo, hi, next_density)
+            inner_lo, inner_hi = first[j], past[k - 1]
+            inner_acc = (cum[inner_hi] - cum[inner_lo]) / (inner_hi - inner_lo)
+            if inner_acc < acc - _TIE_TOLERANCE:
+                out.append(Interval(bound[j], bound[k - 1]))
+            elif inner_acc > acc + _TIE_TOLERANCE:
+                if lo < j:
+                    out.append(Interval(bound[lo], bound[j - 1]))
+                if k < hi:
+                    out.append(Interval(bound[k], bound[hi - 1]))
+            lo, hi, acc, density = inner_lo, inner_hi, inner_acc, next_density
+        if lo == 0 and hi == n:
             break
-        work_v, work_c = work_v[~dropped], work_c[~dropped]
+        work_v = np.concatenate((work_v[:lo], work_v[hi:]))
+        work_c = np.concatenate((work_c[:lo], work_c[hi:]))
     return out

@@ -141,10 +141,10 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     dataset-level totals.  An empty slice yields the distinguished
     (0, 0, NaN, 1.0) result, which no filter ever passes."""
     mask = membership(dataset, sl)
-    n = int(mask.sum())
+    n = int(np.count_nonzero(mask))
     if n == 0:
         return _EMPTY_STATS
-    k = int(dataset.correctness[mask].sum())
+    k = int(np.count_nonzero(dataset.correctness & mask))
     p = hypergeom_lower_pvalue(dataset.n_records, dataset.n_correct, n, k)
     return SliceStats(support=n, correct=k, performance=k / n, p_value=p)
 

@@ -24,7 +24,7 @@ def categorical(name, codes, labels=None):
 
 
 def exhaustive_best_split(column, target, min_leaf):
-    """Try every midpoint threshold directly."""
+    """Try every distinct value but the largest as the threshold directly."""
     column = np.asarray(column, dtype=float)
     target = np.asarray(target, dtype=bool)
     n = len(column)
@@ -33,8 +33,7 @@ def exhaustive_best_split(column, target, min_leaf):
         return None
     distinct = np.unique(column)
     best = None
-    for a, b in zip(distinct, distinct[1:]):
-        threshold = (a + b) / 2
+    for threshold in distinct[:-1]:
         left = column <= threshold
         nl, nr = int(left.sum()), int(n - left.sum())
         if nl < min_leaf or nr < min_leaf:
@@ -67,7 +66,7 @@ class TestBestSplit:
         got = best_split([1, 2, 3, 4], [True, True, False, False], 1)
         assert got is not None
         threshold, decrease = got
-        assert threshold == pytest.approx(2.5)
+        assert threshold == 2.0
         assert decrease == pytest.approx(0.5)
 
     def test_constant_column(self):
@@ -83,7 +82,22 @@ class TestBestSplit:
         # both boundaries separate one False; equal decrease -> leftmost
         got = best_split([1, 2, 3], [False, True, False], 1)
         assert got is not None
-        assert got[0] == pytest.approx(1.5)
+        assert got[0] == 1.0
+
+    @pytest.mark.parametrize("low, high", [
+        (1e308, 1.7e308),  # the midpoint overflows to inf
+        (1.0000000000000002, 1.0000000000000004),  # it rounds onto high
+    ], ids=["overflow", "adjacent-floats"])
+    def test_threshold_separates_the_scored_values(self, low, high):
+        column = [low] * 6 + [high] * 6
+        target = [True] * 6 + [False] * 6
+        threshold, decrease = best_split(column, target, 1)
+        assert threshold == low
+        assert decrease == pytest.approx(0.5)
+        tree = fit_tree([continuous("f", column)], np.array(target),
+                        min_leaf=3, max_depth=1)
+        assert tree.left.rows.tolist() == list(range(6))
+        assert tree.right.rows.tolist() == list(range(6, 12))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_exhaustive_threshold_oracle(self, seed):
@@ -97,7 +111,7 @@ class TestBestSplit:
                 assert got is None
             else:
                 assert got is not None
-                assert got[0] == pytest.approx(want[0])
+                assert got[0] == want[0]
                 assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
@@ -112,7 +126,7 @@ class TestFitTree:
         tree = fit_tree([continuous("f", [1.0, 2.0, 3.0, 4.0])],
                         np.array([True, True, False, False]),
                         min_leaf=1, max_depth=5)
-        assert tree.feature == "f" and tree.threshold == pytest.approx(2.5)
+        assert tree.feature == "f" and tree.threshold == 2.0
         assert tree.left.is_leaf and tree.left.n_false == 0
         assert tree.right.is_leaf and tree.right.n_true == 0
 
@@ -125,9 +139,9 @@ class TestFitTree:
         correct = ~((x > 0.5) ^ (y > 0.5))
         tree = fit_tree([continuous("x", x), continuous("y", y)], correct,
                         min_leaf=1, max_depth=2)
-        assert not tree.is_leaf and tree.threshold == pytest.approx(0.5)
+        assert not tree.is_leaf and tree.threshold == 0.25
         for child in (tree.left, tree.right):
-            assert not child.is_leaf and child.threshold == pytest.approx(0.5)
+            assert not child.is_leaf and child.threshold == 0.25
             sides = sorted((child.left, child.right),
                            key=lambda node: node.n_true)
             assert sides[0].n_true == 0 and sides[0].n_false == 8

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceminer.hpd import (HpdConfig, hpd_scan, shortest_interval, shrink_step)
+from sliceminer._kernels import min_width_window
+from sliceminer.hpd import HpdConfig, hpd_scan, shortest_interval
 from sliceminer.model import Interval
 from sliceminer.oracle import exhaustive_shortest_interval
 
@@ -44,33 +47,6 @@ class TestShortestInterval:
         widths = [shortest_interval(values, p).width
                   for p in np.arange(0.1, 1.01, 0.1)]
         assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
-
-
-class TestShrinkStep:
-    def test_discards_both_edges(self):
-        # middle eight points are far tighter than the two extremes
-        values = np.array([0.0, 5.0, 5.1, 5.2, 5.3, 5.4, 5.5, 5.6, 5.7, 20.0])
-        current = Interval(0.0, 20.0)
-        inner, left, right = shrink_step(values, current, 0.8)
-        assert inner == Interval(5.0, 5.7)
-        assert left == Interval(0.0, 0.0)
-        assert right == Interval(20.0, 20.0)
-
-    def test_no_discard_keeps_strips_none(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        inner, left, right = shrink_step(values, Interval(1.0, 4.0), 1.0)
-        assert inner == Interval(1.0, 4.0)
-        assert left is None and right is None
-
-    def test_too_small_density_rejected(self):
-        with pytest.raises(ValueError):
-            shrink_step(np.array([1.0, 2.0]), Interval(1.0, 2.0), 0.0)
-
-    def test_inner_matches_window_oracle(self):
-        rng = np.random.default_rng(9)
-        values = np.sort(rng.uniform(0, 1, 60))
-        inner, _, _ = shrink_step(values, Interval(0.0, 1.0), 0.5)
-        assert inner == exhaustive_shortest_interval(values, 0.5)
 
 
 def recount(values: np.ndarray, correctness: np.ndarray, interval: Interval):
@@ -151,6 +127,124 @@ class TestHpdScan:
         out = hpd_scan(np.array([np.nan, 3.0]), np.array([True, False]),
                        HpdConfig())
         assert out == []
+
+
+def reference_shortest_interval(values, proportion):
+    m = min(values.size, max(1, math.ceil(proportion * values.size)))
+    i = min_width_window(values, m)
+    return Interval(float(values[i]), float(values[i + m - 1]))
+
+
+def reference_shrink_step(values, current, target_density):
+    m = math.ceil(target_density * values.size)
+    lo = int(np.searchsorted(values, current.low, side="left"))
+    hi = int(np.searchsorted(values, current.high, side="right"))
+    inside = values[lo:hi]
+    m = min(m, inside.size)
+    j = min_width_window(inside, m)
+    inner = Interval(float(inside[j]), float(inside[j + m - 1]))
+    left = inside[:j]
+    right = inside[j + m:]
+    left_strip = Interval(float(left[0]), float(left[-1])) if left.size else None
+    right_strip = Interval(float(right[0]), float(right[-1])) if right.size else None
+    return inner, left_strip, right_strip
+
+
+def reference_span_accuracy(values, correct, interval):
+    lo = int(np.searchsorted(values, interval.low, side="left"))
+    hi = int(np.searchsorted(values, interval.high, side="right"))
+    return float(correct[lo:hi].mean())
+
+
+def reference_hpd_scan(values, correctness, config):
+    """The scan in value space: every step re-locates its interval's records
+    by ``searchsorted`` on the bounds and slices them for the accuracy."""
+    vals = np.asarray(values, dtype=np.float64)
+    corr = np.asarray(correctness, dtype=bool)
+    keep = np.isfinite(vals)
+    vals, corr = vals[keep], corr[keep]
+    if vals.size < 2:
+        return []
+    order = np.argsort(vals, kind="stable")
+    work_v, work_c = vals[order], corr[order]
+    original = work_v.size
+    stop_records = config.min_density_floor * original
+    out = []
+    while work_v.size >= 2 and work_v.size >= stop_records:
+        density = config.initial_density
+        density_floor = config.min_density_floor * (work_v.size / original)
+        prev = reference_shortest_interval(work_v, density)
+        prev_acc = reference_span_accuracy(work_v, work_c, prev)
+        while True:
+            next_density = density - config.epsilon
+            if next_density < density_floor:
+                break
+            inner, left_strip, right_strip = reference_shrink_step(
+                work_v, prev, next_density)
+            inner_acc = reference_span_accuracy(work_v, work_c, inner)
+            if inner_acc < prev_acc - 1e-12:
+                out.append(inner)
+            elif inner_acc > prev_acc + 1e-12:
+                if left_strip is not None:
+                    out.append(left_strip)
+                if right_strip is not None:
+                    out.append(right_strip)
+            prev, prev_acc, density = inner, inner_acc, next_density
+        dropped = prev.contains(work_v)
+        if dropped.all():
+            break
+        work_v, work_c = work_v[~dropped], work_c[~dropped]
+    return out
+
+
+def bounds(intervals):
+    # repr tells -0.0 from 0.0
+    return [(repr(iv.low), repr(iv.high)) for iv in intervals]
+
+
+CONFIGS = [HpdConfig(), HpdConfig(0.5, 0.2, 0.05), HpdConfig(1.0, 0.3, 0.2),
+           HpdConfig(0.95, 0.01, 0.01)]
+
+# small pools give long runs of equal values
+POOLS = [(0.0, -0.0, 1.0, math.nan),
+         (-2.5, -0.0, 0.0, 0.5, 3.0, 7.25, math.nan),
+         tuple(float(x) for x in range(40)) + (-0.0, math.nan)]
+
+
+@st.composite
+def samples(draw):
+    pool = draw(st.sampled_from(POOLS))
+    n = draw(st.integers(0, 300))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    correct = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64), np.array(correct, dtype=bool)
+
+
+class TestIndexSpaceScan:
+    """``hpd_scan`` works on index ranges of the sorted sample; the value-space
+    reference above is the scan it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples(), st.sampled_from(CONFIGS))
+    def test_matches_value_space_reference(self, sample, config):
+        values, correct = sample
+        assert (bounds(hpd_scan(values, correct, config))
+                == bounds(reference_hpd_scan(values, correct, config)))
+
+    def test_window_end_inside_a_run_takes_the_whole_run(self):
+        # the first window is records 1..5, all 1.0, but its interval [1, 1]
+        # holds all six 1.0 records: accuracy 1/6.  The two shrink steps keep
+        # [1, 1], so nothing is emitted for it (counting only the 5 and then
+        # 3 window records would read 1/5 then 1/3 and emit a strip of 1.0s),
+        # and the restart drops all six.  On [0, 5, 6, 7] the last step
+        # shrinks [6, 7] to [6, 6] and emits the strip [7, 7].
+        values = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 5.0, 6.0, 7.0])
+        correct = np.array([True, True, False, False, False, False, False,
+                            True, True, False])
+        config = HpdConfig(0.5, 0.2, 0.05)
+        got = hpd_scan(values, correct, config)
+        assert got == [Interval(7.0, 7.0)]
+        assert got == reference_hpd_scan(values, correct, config)
 
 
 class TestHpdConfig:
