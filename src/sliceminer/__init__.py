@@ -6,7 +6,7 @@ from .dataset import (ConfigError, DataError, Dataset, DatasetSummary,
                       summarize)
 from .hpd import HpdConfig
 from .model import Filters, Heuristic, Interval, Slice, SliceStats, ValueSet
-from .report import RunReport, build_report, render
+from .report import build_report, render
 from .slicer import (AnalysisConfig, AnalysisResult, evaluate_slice,
                      filter_and_rank, generate_higher_order, generate_one_way,
                      min_support, perf_threshold, run_analysis)
@@ -27,7 +27,6 @@ __all__ = [
     "HpdConfig",
     "IngestConfig",
     "Interval",
-    "RunReport",
     "Slice",
     "SliceStats",
     "ValueSet",

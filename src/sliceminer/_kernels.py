@@ -70,7 +70,7 @@ def min_width_window(values: np.ndarray, m: int) -> int:
     ``values`` must be sorted ascending and hold at least ``m`` entries.
     """
     widths = values[m - 1:] - values[: values.size - m + 1]
-    return int(np.argmin(widths))  # first minimum: leftmost tie wins
+    return int(widths.argmin())  # first minimum: leftmost tie wins
 
 
 def best_split_scan(values: np.ndarray, truth: np.ndarray,

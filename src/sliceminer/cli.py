@@ -22,12 +22,11 @@ from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
 from .dtree import gini
 from .hpd import HpdConfig, shortest_interval
 from .model import Heuristic, Interval
-from .report import build_report, render
+from .report import FORMATS, build_report, render
 from .slicer import AnalysisConfig, run_analysis
 
 __all__ = ["run", "self_check", "main"]
 
-_FORMATS = ("json", "markdown", "csv")
 _HEURISTIC_NAMES = tuple(sorted(h.value for h in Heuristic))
 _ANALYSIS = AnalysisConfig()
 _INGEST = {f.name: f.default for f in fields(IngestConfig)}
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra token treated as missing besides the empty "
                              "field (default: empty)")
     parser.add_argument("--format", default=_env("FORMAT", "json"),
-                        choices=_FORMATS, help="output format (default: %(default)s)")
+                        choices=FORMATS, help="output format (default: %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
     parser.add_argument("--workers", type=int,
@@ -146,7 +145,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
-        format: str = "json", out: str | None = None) -> int:
+        format: str, out: str | None = None) -> int:
     """Execute one analysis run; returns the process exit code."""
     dataset = load_table(path, ingest)
     if dataset.rejected_rows:
@@ -182,9 +181,9 @@ def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
 
 def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
     """Check the parsed flags and build the run's configs; reads no input."""
-    if args.format not in _FORMATS:  # argparse skips choices for defaults
+    if args.format not in FORMATS:  # argparse skips choices for defaults
         raise ConfigError(f"unknown format {args.format!r}; "
-                          f"choose from {', '.join(_FORMATS)}")
+                          f"choose from {', '.join(FORMATS)}")
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
     if not heuristics or set(heuristics) - set(_HEURISTIC_NAMES):
         raise ConfigError(f"heuristics must be a nonempty subset of "

@@ -246,7 +246,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
                    rejected_rows=tuple(rejected))
 
 
-def summarize(dataset: Dataset, ci_level: float = 0.95) -> DatasetSummary:
+def summarize(dataset: Dataset, ci_level: float) -> DatasetSummary:
     """Accuracy over all records with a Wilson score interval."""
     n = dataset.n_records
     if n < 1:

@@ -1,7 +1,7 @@
-"""Render reported slices and run-level summaries as JSON, markdown, or CSV.
+"""The run's report document, and its rendering as JSON, markdown, or CSV.
 
-JSON is the canonical machine format: versioned, sorted keys, stable byte
-output.  Markdown and CSV show performance to 3 decimals and p-values in
+``build_report`` assembles the one document every format renders from; JSON
+is its canonical machine form: versioned, sorted keys, stable byte output.  Markdown and CSV show performance to 3 decimals and p-values in
 scientific notation with a 2-digit significand.  Predicate strings render
 intervals as inclusive "low–high" spans over actual data values (en dash
 separator, so negative bounds stay unambiguous) and category sets as original
@@ -14,19 +14,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dataset import Dataset, DatasetSummary, FeatureKind
-from .model import (FeaturePredicate, Filters, Interval, Slice, SliceStats,
-                    ValueSet)
+from .dataset import Dataset, FeatureKind
+from .model import FeaturePredicate, Interval, Slice, SliceStats, ValueSet
 from .slicer import AnalysisResult
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SliceReport",
-    "SummaryStats",
-    "RunReport",
+    "FORMATS",
     "render_predicate",
     "parse_predicate",
     "summarize_supports",
@@ -119,46 +115,10 @@ def parse_predicate(text: str, kind: FeatureKind,
     return interval
 
 
-@dataclass(frozen=True)
-class SliceReport:
-    features: tuple[str, ...]
-    predicates: tuple[tuple[str, str], ...]  # (feature, rendered predicate)
-    heuristic: str
-    order: int
-    support: int
-    correct: int
-    performance: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Population statistics of reported-slice supports for one group."""
-
-    heuristic: str
-    order: int
-    count: int
-    min: int
-    avg: float
-    max: int
-    std: float
-
-
-@dataclass(frozen=True)
-class RunReport:
-    summary: DatasetSummary
-    filters: Filters
-    config: dict
-    candidate_counts: dict
-    reported_counts: dict
-    slices: tuple[SliceReport, ...]
-    support_summary: tuple[SummaryStats, ...]
-    features: dict = field(default_factory=dict)  # name -> kind (+ labels)
-
-
 def summarize_supports(slices: Sequence[tuple[Slice, SliceStats]]
-                       ) -> dict[tuple[str, int], SummaryStats]:
-    """Count/min/avg/max/std of supports per (heuristic, order) group."""
+                       ) -> dict[tuple[str, int], dict]:
+    """Count/min/avg/max/std of supports per (heuristic, order) group, as
+    the report's ``support_summary`` entries."""
     groups: dict[tuple[str, int], list[int]] = {}
     for sl, stats in slices:
         groups.setdefault((sl.heuristic.value, sl.order), []).append(stats.support)
@@ -167,15 +127,21 @@ def summarize_supports(slices: Sequence[tuple[Slice, SliceStats]]
         count = len(supports)
         avg = sum(supports) / count
         std = math.sqrt(sum((s - avg) ** 2 for s in supports) / count)
-        out[(heuristic, order)] = SummaryStats(
-            heuristic=heuristic, order=order, count=count,
-            min=min(supports), avg=avg, max=max(supports), std=std)
+        out[(heuristic, order)] = {
+            "heuristic": heuristic, "order": order, "count": count,
+            "min": min(supports), "avg": avg, "max": max(supports), "std": std}
     return out
 
 
+def _counts_doc(counts: dict) -> dict:
+    return {f"{heuristic}:{order}": value
+            for (heuristic, order), value in sorted(counts.items())}
+
+
 def build_report(result: AnalysisResult, dataset: Dataset,
-                 extra_config: dict | None = None) -> RunReport:
-    """Assemble the self-describing run report from a pipeline result."""
+                 extra_config: dict | None = None) -> dict:
+    """The run's report document, the one ``docs/report_schema.json``
+    describes; every format renders from it."""
     cfg = result.config
     config = {
         "heuristics": sorted(h.value for h in cfg.heuristics),
@@ -196,13 +162,13 @@ def build_report(result: AnalysisResult, dataset: Dataset,
     slices = []
     referenced: dict[str, dict] = {}
     for sl, stats in result.reported:
-        rendered = tuple((name, render_predicate(pred))
-                         for name, pred in sl.predicates)
-        slices.append(SliceReport(
-            features=sl.features, predicates=rendered,
-            heuristic=sl.heuristic.value, order=sl.order,
-            support=stats.support, correct=stats.correct,
-            performance=stats.performance, p_value=stats.p_value))
+        slices.append({"features": list(sl.features),
+                       "predicates": {name: render_predicate(pred)
+                                      for name, pred in sl.predicates},
+                       "heuristic": sl.heuristic.value, "order": sl.order,
+                       "support": stats.support, "correct": stats.correct,
+                       "performance": stats.performance,
+                       "p_value": stats.p_value})
         for name in sl.features:
             if name not in referenced:
                 feature = dataset.features[name]
@@ -211,21 +177,8 @@ def build_report(result: AnalysisResult, dataset: Dataset,
                     entry["values"] = list(feature.labels)
                 referenced[name] = entry
 
-    support_summary = tuple(summarize_supports(result.reported).values())
-    return RunReport(summary=result.summary, filters=result.filters,
-                     config=config, candidate_counts=result.candidate_counts,
-                     reported_counts=result.reported_counts,
-                     slices=tuple(slices), support_summary=support_summary,
-                     features=referenced)
-
-
-def _counts_doc(counts: dict) -> dict:
-    return {f"{heuristic}:{order}": value
-            for (heuristic, order), value in sorted(counts.items())}
-
-
-def _json_doc(report: RunReport) -> dict:
-    s = report.summary
+    s = result.summary
+    f = result.filters
     return {
         "schema_version": SCHEMA_VERSION,
         "dataset": {
@@ -238,32 +191,18 @@ def _json_doc(report: RunReport) -> dict:
             "ci_method": s.ci_method,
         },
         "filters": {
-            "min_support": report.filters.min_support,
-            "perf_threshold": report.filters.perf_threshold,
-            "p_value_max": report.filters.p_value_max,
+            "min_support": f.min_support,
+            "perf_threshold": f.perf_threshold,
+            "p_value_max": f.p_value_max,
         },
-        "config": report.config,
+        "config": config,
         "counts": {
-            "candidates": _counts_doc(report.candidate_counts),
-            "reported": _counts_doc(report.reported_counts),
+            "candidates": _counts_doc(result.candidate_counts),
+            "reported": _counts_doc(result.reported_counts),
         },
-        "features": report.features,
-        "support_summary": [
-            {"heuristic": g.heuristic, "order": g.order, "count": g.count,
-             "min": g.min, "avg": g.avg, "max": g.max, "std": g.std}
-            for g in report.support_summary
-        ],
-        "slices": [
-            {"features": list(row.features),
-             "predicates": {name: text for name, text in row.predicates},
-             "heuristic": row.heuristic,
-             "order": row.order,
-             "support": row.support,
-             "correct": row.correct,
-             "performance": row.performance,
-             "p_value": row.p_value}
-            for row in report.slices
-        ],
+        "features": referenced,
+        "support_summary": list(summarize_supports(result.reported).values()),
+        "slices": slices,
     }
 
 
@@ -275,14 +214,14 @@ def _fmt_pvalue(value: float) -> str:
     return f"{value:.1E}"
 
 
-def _render_json(report: RunReport) -> str:
-    return json.dumps(_json_doc(report), indent=2, sort_keys=True,
+def _render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True,
                       ensure_ascii=False) + "\n"
 
 
-def _render_markdown(report: RunReport) -> str:
-    s = report.summary
-    f = report.filters
+def _render_markdown(report: dict) -> str:
+    d = report["dataset"]
+    f = report["filters"]
     lines = [
         "# Under-performing slice report",
         "",
@@ -290,27 +229,30 @@ def _render_markdown(report: RunReport) -> str:
         "",
         "| records | correct | metric | CI low | CI high | CI level | CI method |",
         "|---|---|---|---|---|---|---|",
-        f"| {s.n_records} | {s.n_correct} | {_fmt_perf(s.metric)} "
-        f"| {_fmt_perf(s.ci_low)} | {_fmt_perf(s.ci_high)} "
-        f"| {s.ci_level:g} | {s.ci_method} |",
+        f"| {d['records']} | {d['correct']} | {_fmt_perf(d['metric'])} "
+        f"| {_fmt_perf(d['ci_low'])} | {_fmt_perf(d['ci_high'])} "
+        f"| {d['ci_level']:g} | {d['ci_method']} |",
         "",
-        f"Filters: support >= {f.min_support}, "
-        f"performance <= {_fmt_perf(f.perf_threshold)}, "
-        f"p-value < {f.p_value_max:g}.",
+        f"Filters: support >= {f['min_support']}, "
+        f"performance <= {_fmt_perf(f['perf_threshold'])}, "
+        f"p-value < {f['p_value_max']:g}.",
         "",
         "Config: " + ", ".join(f"{key}={value}"
-                               for key, value in sorted(report.config.items())),
+                               for key, value in sorted(report["config"].items())),
         "",
         "## Counts (candidates -> reported)",
         "",
         "| heuristic | order | candidates | reported |",
         "|---|---|---|---|",
     ]
-    keys = sorted(set(report.candidate_counts) | set(report.reported_counts))
-    for heuristic, order in keys:
-        lines.append(f"| {heuristic} | {order} "
-                     f"| {report.candidate_counts.get((heuristic, order), 0)} "
-                     f"| {report.reported_counts.get((heuristic, order), 0)} |")
+    candidates = report["counts"]["candidates"]
+    reported = report["counts"]["reported"]
+    # heuristic names are lowercase and orders one digit, so the keys sort
+    # as their (heuristic, order) pairs do
+    for key in sorted(candidates.keys() | reported.keys()):
+        heuristic, order = key.split(":")
+        lines.append(f"| {heuristic} | {order} | {candidates.get(key, 0)} "
+                     f"| {reported.get(key, 0)} |")
     lines += [
         "",
         "## Reported slices",
@@ -318,14 +260,15 @@ def _render_markdown(report: RunReport) -> str:
         "| feature | value | support | performance | p-value | heuristic | order |",
         "|---|---|---|---|---|---|---|",
     ]
-    for row in report.slices:
-        names = ", ".join(row.features)
-        if len(row.features) > 1:
+    for row in report["slices"]:
+        names = ", ".join(row["features"])
+        if len(row["features"]) > 1:
             names = f"({names})"
-        values = ", ".join(text for _, text in row.predicates)
-        lines.append(f"| {names} | {values} | {row.support} "
-                     f"| {_fmt_perf(row.performance)} | {_fmt_pvalue(row.p_value)} "
-                     f"| {row.heuristic} | {row.order} |")
+        values = ", ".join(row["predicates"].values())
+        lines.append(f"| {names} | {values} | {row['support']} "
+                     f"| {_fmt_perf(row['performance'])} "
+                     f"| {_fmt_pvalue(row['p_value'])} "
+                     f"| {row['heuristic']} | {row['order']} |")
     lines += [
         "",
         "## Support summary",
@@ -333,9 +276,10 @@ def _render_markdown(report: RunReport) -> str:
         "| heuristic | order | count | min | avg | max | std |",
         "|---|---|---|---|---|---|---|",
     ]
-    for g in report.support_summary:
-        lines.append(f"| {g.heuristic} | {g.order} | {g.count} | {g.min} "
-                     f"| {g.avg:.1f} | {g.max} | {g.std:.1f} |")
+    for g in report["support_summary"]:
+        lines.append(f"| {g['heuristic']} | {g['order']} | {g['count']} "
+                     f"| {g['min']} | {g['avg']:.1f} | {g['max']} "
+                     f"| {g['std']:.1f} |")
     return "\n".join(lines) + "\n"
 
 
@@ -343,15 +287,17 @@ CSV_COLUMNS = ["features", "predicate", "heuristic", "order", "support",
                "correct", "performance", "p_value"]
 
 
-def _render_csv(report: RunReport) -> str:
+def _render_csv(report: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.slices:
-        predicate = "; ".join(f"{name}={text}" for name, text in row.predicates)
-        writer.writerow([", ".join(row.features), predicate, row.heuristic,
-                         row.order, row.support, row.correct,
-                         _fmt_perf(row.performance), _fmt_pvalue(row.p_value)])
+    for row in report["slices"]:
+        predicate = "; ".join(f"{name}={text}"
+                              for name, text in row["predicates"].items())
+        writer.writerow([", ".join(row["features"]), predicate,
+                         row["heuristic"], row["order"], row["support"],
+                         row["correct"], _fmt_perf(row["performance"]),
+                         _fmt_pvalue(row["p_value"])])
     return buffer.getvalue()
 
 
@@ -361,9 +307,12 @@ _RENDERERS = {
     "csv": _render_csv,
 }
 
+FORMATS = tuple(_RENDERERS)
 
-def render(report: RunReport, format: str = "json") -> str:
-    """Render a run report; format is one of json, markdown, csv."""
+
+def render(report: dict, format: str) -> str:
+    """Render a report document (``build_report``); format is one of
+    ``FORMATS``: json, markdown, csv."""
     try:
         renderer = _RENDERERS[format]
     except KeyError:

@@ -234,18 +234,19 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
     return _run_tasks(tasks, config.workers)
 
 
+def _rank(pair: tuple[Slice, SliceStats]) -> tuple:
+    sl, stats = pair
+    return stats.p_value, -stats.support, sl.features
+
+
 def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
                     filters: Filters) -> list[tuple[Slice, SliceStats]]:
-    """Apply the three gates, dedupe exact predicates (first occurrence wins),
-    and rank by p-value, then support, then feature names."""
-    first = {}
-    for sl, stats in evaluated:
-        if (filters.admits(stats.support, stats.correct)
-                and stats.p_value < filters.p_value_max):
-            first.setdefault(sl.predicate_key(), (sl, stats))
-    kept = list(first.values())
-    kept.sort(key=lambda pair: (pair[1].p_value, -pair[1].support,
-                                pair[0].features))
+    """Apply the three gates and rank by p-value, then support, then feature
+    names; ties keep their input order."""
+    kept = [(sl, stats) for sl, stats in evaluated
+            if filters.admits(stats.support, stats.correct)
+            and stats.p_value < filters.p_value_max]
+    kept.sort(key=_rank)
     return kept
 
 
@@ -254,19 +255,19 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     report set, with candidate/reported counts per (heuristic, order).
 
     Each round evaluates only predicates no earlier candidate has (first
-    occurrence wins); the slices of the previous order that pass all three
-    gates seed each higher round's conditioning."""
+    occurrence wins) and is ranked once; its slices of the round's order
+    seed the next round's conditioning."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
 
     seen = set()
-    emitted = []
+    candidates = []
+    reported = []
     for order in range(1, config.max_order + 1):
         if order == 1:
             generated = generate_one_way(dataset, config)
         else:
-            seeds = [sl for sl, _ in filter_and_rank(this_round, filters)
-                     if sl.order == order - 1]
+            seeds = [sl for sl, _ in ranked if sl.order == order - 1]
             generated = generate_higher_order(dataset, seeds, order, config, filters)
         this_round = []
         for sl in generated:
@@ -274,11 +275,12 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
             if key not in seen:
                 seen.add(key)
                 this_round.append((sl, evaluate_slice(dataset, sl)))
-        emitted.extend(this_round)
-
-    candidates = [(sl, stats) for sl, stats in emitted
-                  if filters.admits(stats.support, stats.correct)]
-    reported = filter_and_rank(emitted, filters)
+        candidates.extend((sl, stats) for sl, stats in this_round
+                          if filters.admits(stats.support, stats.correct))
+        ranked = filter_and_rank(this_round, filters)
+        reported.extend(ranked)
+    # stable: ties keep round order, as one ranking of every round would
+    reported.sort(key=_rank)
 
     candidate_counts = dict(Counter((sl.heuristic.value, sl.order)
                                     for sl, _ in candidates))

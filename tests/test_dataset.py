@@ -222,7 +222,7 @@ class TestSummarize:
 
     def test_statlog_scale_metric(self, tmp_path):
         ds = self.build(tmp_path, [True] * 230 + [False] * 70)
-        summary = summarize(ds)
+        summary = summarize(ds, 0.95)
         assert summary.n_records == 300 and summary.n_correct == 230
         assert summary.metric == pytest.approx(0.7667, abs=5e-5)
         assert summary.ci_low == pytest.approx(0.715619, abs=1e-5)
@@ -230,17 +230,17 @@ class TestSummarize:
 
     def test_perfect_classifier(self, tmp_path):
         ds = self.build(tmp_path, [True] * 10)
-        summary = summarize(ds)
+        summary = summarize(ds, 0.95)
         assert summary.metric == 1.0
         assert summary.ci_high == 1.0
 
     def test_permutation_invariant(self, tmp_path):
         flags = [True] * 40 + [False] * 20
-        base = summarize(self.build(tmp_path, flags))
+        base = summarize(self.build(tmp_path, flags), 0.95)
         rng = np.random.default_rng(1)
         shuffled = list(flags)
         rng.shuffle(shuffled)
-        other = summarize(self.build(tmp_path, shuffled))
+        other = summarize(self.build(tmp_path, shuffled), 0.95)
         assert base == other
 
 

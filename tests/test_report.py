@@ -13,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer.dataset import FeatureKind
-from sliceminer.model import (Filters, Heuristic, Interval, SliceStats,
-                              ValueSet, make_slice)
-from sliceminer.report import (CSV_COLUMNS, RunReport, SliceReport,
-                               build_report, parse_predicate, render,
-                               render_predicate, summarize_supports)
+from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
+from sliceminer.report import (CSV_COLUMNS, build_report, parse_predicate,
+                               render, render_predicate, summarize_supports)
 from sliceminer.slicer import AnalysisConfig, membership, run_analysis
 from tests.conftest import dataset_from_columns
 
@@ -49,15 +47,15 @@ class TestSummarizeSupports:
         sl = make_slice({"f": ValueSet((0,), ("a",))}, Heuristic.HPD)
         groups = summarize_supports([(sl, self.stats(3)), (sl, self.stats(80))])
         got = groups[("hpd", 1)]
-        assert (got.min, got.max) == (3, 80)
-        assert got.avg == pytest.approx(41.5)
-        assert got.std == pytest.approx(38.5)
+        assert (got["min"], got["max"]) == (3, 80)
+        assert got["avg"] == pytest.approx(41.5)
+        assert got["std"] == pytest.approx(38.5)
 
     def test_single_slice(self):
         sl = make_slice({"f": ValueSet((0,), ("a",))}, Heuristic.DT)
         got = summarize_supports([(sl, self.stats(17))])[("dt", 1)]
-        assert got.min == got.max == 17
-        assert got.avg == 17 and got.std == 0.0 and got.count == 1
+        assert got == {"heuristic": "dt", "order": 1, "count": 1, "min": 17,
+                       "avg": 17, "max": 17, "std": 0.0}
 
     def test_no_slices(self):
         assert summarize_supports([]) == {}
@@ -139,8 +137,9 @@ class TestRenderJson:
     def test_validates_against_shipped_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         ds, result = small_run(tmp_path)
-        doc = json.loads(render(build_report(result, ds), "json"))
+        doc = build_report(result, ds)
         jsonschema.validate(doc, SCHEMA)
+        assert json.loads(render(doc, "json")) == doc
 
     def test_empty_run_shape(self, tmp_path):
         ds = dataset_from_columns(tmp_path, {"f": [1, 2] * 20}, [True] * 40)
@@ -160,28 +159,35 @@ class TestRenderJson:
 
 
 def table7_style_report():
-    summary_slice = SliceReport(
-        features=("relationship",), predicates=(("relationship", "5"),),
-        heuristic="categorical", order=1, support=692, correct=484,
-        performance=0.699, p_value=1.2e-25)
-    from sliceminer.dataset import DatasetSummary
-    return RunReport(
-        summary=DatasetSummary(n_records=14653, n_correct=12486,
-                               metric=0.852, ci_low=0.845, ci_high=0.857,
-                               ci_level=0.95),
-        filters=Filters(min_support=109, perf_threshold=0.805, p_value_max=0.05),
-        config={"gap": 0.04},
-        candidate_counts={("categorical", 1): 26},
-        reported_counts={("categorical", 1): 1},
-        slices=(summary_slice,),
-        support_summary=(),
-        features={"relationship": {"kind": "categorical"}})
+    return {
+        "schema_version": 1,
+        "dataset": {"records": 14653, "correct": 12486, "metric": 0.852,
+                    "ci_low": 0.845, "ci_high": 0.857, "ci_level": 0.95,
+                    "ci_method": "wilson"},
+        "filters": {"min_support": 109, "perf_threshold": 0.805,
+                    "p_value_max": 0.05},
+        "config": {"gap": 0.04},
+        "counts": {"candidates": {"categorical:1": 26},
+                   "reported": {"categorical:1": 1}},
+        "features": {"relationship": {"kind": "categorical"}},
+        "support_summary": [],
+        "slices": [{"features": ["relationship"],
+                    "predicates": {"relationship": "5"},
+                    "heuristic": "categorical", "order": 1, "support": 692,
+                    "correct": 484, "performance": 0.699, "p_value": 1.2e-25}],
+    }
+
+
+def test_hand_built_report_matches_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(table7_style_report(), SCHEMA)
 
 
 class TestRenderMarkdown:
     def test_slice_row_layout(self):
         text = render(table7_style_report(), "markdown")
         assert "relationship | 5 | 692 | 0.699 | 1.2E-25" in text
+        assert "| categorical | 1 | 26 | 1 |" in text
 
     def test_pair_slice_parenthesized(self, tmp_path):
         ds, result = small_run(tmp_path)

@@ -241,20 +241,6 @@ class TestFilterAndRank:
         filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
         assert filter_and_rank([], filters) == []
 
-    def test_duplicate_predicates_merge_first_wins(self, tmp_path):
-        ds = statlog_like(tmp_path)
-        labels = ds.features["credithistory"].labels
-        code = labels.index("0")
-        as_cat = make_slice({"credithistory": ValueSet((code,), ("0",))},
-                            Heuristic.CATEGORICAL)
-        as_dt = make_slice({"credithistory": ValueSet((code,), ("0",))},
-                           Heuristic.DT)
-        stats = evaluate_slice(ds, as_cat)
-        filters = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.999)
-        kept = filter_and_rank([(as_cat, stats), (as_dt, stats)], filters)
-        assert len(kept) == 1
-        assert kept[0][0].heuristic is Heuristic.CATEGORICAL
-
     def test_ranking_by_pvalue_then_support(self):
         a = make_slice({"a": ValueSet((0,), ("a0",))}, Heuristic.CATEGORICAL)
         b = make_slice({"b": ValueSet((0,), ("b0",))}, Heuristic.CATEGORICAL)
@@ -345,6 +331,34 @@ class TestRunAnalysis:
         parallel = run_analysis(ds, AnalysisConfig(workers=8))
         assert sequential.reported == parallel.reported
         assert sequential.candidate_counts == parallel.candidate_counts
+
+    def test_duplicate_predicates_merge_first_wins(self, tmp_path, monkeypatch):
+        ds = random_dataset(tmp_path, 5)
+        config = AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL}),
+                                max_order=1)
+        found = run_analysis(ds, config).reported[0][0]
+        as_cat = make_slice(dict(found.predicates), Heuristic.CATEGORICAL)
+        as_dt = make_slice(dict(found.predicates), Heuristic.DT)
+        monkeypatch.setattr("sliceminer.slicer.generate_one_way",
+                            lambda dataset, config: [as_cat, as_dt])
+        result = run_analysis(ds, config)
+        assert [sl for sl, _ in result.reported] == [as_cat]
+        assert result.reported_counts == {("categorical", 1): 1}
+
+    def test_every_reported_slice_ranked_once(self, tmp_path, monkeypatch):
+        ds = random_dataset(tmp_path, 5)
+        ranked = []
+
+        def recording(evaluated, filters):
+            kept = filter_and_rank(evaluated, filters)
+            ranked.append(len(kept))
+            return kept
+
+        monkeypatch.setattr("sliceminer.slicer.filter_and_rank", recording)
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
+        assert {sl.order for sl, _ in result.reported} >= {1, 2}
+        assert len(ranked) == 3  # one ranking per round
+        assert sum(ranked) == len(result.reported)
 
     def test_each_predicate_evaluated_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
