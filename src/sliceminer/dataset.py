@@ -1,11 +1,11 @@
 """Tabular ingestion: parse delimited text, decide each feature's kind,
 derive the per-record correctness mask and the whole-dataset accuracy summary.
 
-Each feature column becomes one ``Feature``: its kind, its labels and one
-float64 view (parsed values for continuous features, dense category codes
-for categorical ones, NaN for missing), all fixed at load.  Records with a
-missing value in a feature are excluded from that feature's slicing, never
-imputed.
+Each feature column becomes one ``Feature``: its kind, the labels of a
+categorical one and one float64 view (parsed values for continuous
+features, dense category codes for categorical ones, NaN for missing), all
+fixed at load.  Records with a missing value in a feature are excluded from
+that feature's slicing, never imputed.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class Feature:
 
     ``values`` (float64, read-only) holds the parsed number of a continuous
     feature or the dense code of a categorical one, NaN where missing.
-    ``labels`` holds the original token of each distinct present value, in
-    code order.
+    ``labels`` holds the original token of each distinct present value of a
+    categorical feature, in code order; a continuous feature has none.
     """
 
     name: str
@@ -142,17 +142,18 @@ def _build_feature(name: str, tokens: list[str], missing: list[bool],
     parsed[~present] = np.nan
     _, first_idx, inverse = np.unique(parsed[present], return_index=True,
                                       return_inverse=True)
-    rows = np.flatnonzero(present)
-    labels = tuple(tokens[i].strip() for i in rows[first_idx])
     if override is not None:
         kind = override
-    elif config.all_numeric or len(labels) > config.categorical_threshold:
+    elif config.all_numeric or first_idx.size > config.categorical_threshold:
         kind = FeatureKind.CONTINUOUS
     else:
         kind = FeatureKind.CATEGORICAL
-    if kind is FeatureKind.CATEGORICAL:
-        parsed[rows] = inverse
-    return Feature(name, kind, parsed, labels)
+    if kind is FeatureKind.CONTINUOUS:
+        return Feature(name, kind, parsed, ())
+    rows = np.flatnonzero(present)
+    parsed[rows] = inverse
+    return Feature(name, kind, parsed,
+                   tuple(tokens[i].strip() for i in rows[first_idx]))
 
 
 def load_table(path: str, config: IngestConfig) -> Dataset:

@@ -4,11 +4,16 @@ The search runs one round per order.  Order 1 enumerates every categorical
 value and runs the HPD scan on every continuous feature.  Each higher order
 comes from two routes: conditioning (rerun single-feature analysis inside
 each slice the previous order reported, on every other feature) and small
-decision trees over every feature subset of that order.  Each distinct
-predicate is then evaluated once, directly against the dataset, so reported
-numbers never depend on heuristic internals, and kept only if it clears
-minimum support, the performance gap, and the hypergeometric significance
-test against the whole-dataset record and correct counts.
+decision trees over every feature subset of that order.  Both routes emit
+only candidates that clear minimum support and the performance gap.  A
+conditioned candidate is its seed plus one predicate, so its members are
+the seed's rows that predicate admits; it is counted there.  A tree
+candidate is evaluated directly against the dataset, since a node's rows
+differ from its members when cells off its path are missing.  Either way
+the counts are exact membership counts, never heuristic internals.  Each
+distinct predicate gets its counts once and is kept only if it also passes
+the hypergeometric significance test against the whole-dataset record and
+correct counts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from . import dtree, hpd
 from .dataset import (ConfigError, Dataset, DatasetSummary, FeatureKind,
                       summarize)
 from .hpd import HpdConfig
-from .model import Filters, Heuristic, Slice, SliceStats, ValueSet, make_slice
+from .model import (Filters, Heuristic, Interval, Slice, SliceStats, ValueSet,
+                    make_slice)
 from .stats import hypergeom_lower_pvalue
 
 __all__ = [
@@ -136,6 +142,12 @@ def membership(dataset: Dataset, sl: Slice) -> np.ndarray:
 _EMPTY_STATS = SliceStats(support=0, correct=0, performance=float("nan"), p_value=1.0)
 
 
+def _counted_stats(dataset: Dataset, n: int, k: int) -> SliceStats:
+    """Stats of a nonempty slice with ``n`` members, ``k`` of them correct."""
+    p = hypergeom_lower_pvalue(dataset.n_records, dataset.n_correct, n, k)
+    return SliceStats(support=n, correct=k, performance=k / n, p_value=p)
+
+
 def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     """Exact membership counts plus the lower-tail p-value against the
     dataset-level totals.  An empty slice yields the distinguished
@@ -144,9 +156,8 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     n = int(np.count_nonzero(mask))
     if n == 0:
         return _EMPTY_STATS
-    k = int(np.count_nonzero(dataset.correctness & mask))
-    p = hypergeom_lower_pvalue(dataset.n_records, dataset.n_correct, n, k)
-    return SliceStats(support=n, correct=k, performance=k / n, p_value=p)
+    return _counted_stats(dataset, n,
+                          int(np.count_nonzero(dataset.correctness & mask)))
 
 
 def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
@@ -164,12 +175,31 @@ def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
     return merged
 
 
+def _interval_counts(values: np.ndarray, correct: np.ndarray,
+                     intervals: Sequence[Interval]) -> tuple[list, list]:
+    """Records and correct records of ``values`` inside each interval.  NaN
+    lies in no interval, and every bound is a finite data value."""
+    finite = np.isfinite(values)
+    order = np.argsort(values[finite], kind="stable")
+    ranked = values[finite][order]
+    cum = np.concatenate(([0], np.cumsum(correct[finite][order])))
+    lo = np.searchsorted(ranked, [iv.low for iv in intervals], side="left")
+    hi = np.searchsorted(ranked, [iv.high for iv in intervals], side="right")
+    return (hi - lo).tolist(), (cum[hi] - cum[lo]).tolist()
+
+
 def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
-                      name: str, config: AnalysisConfig
-                      ) -> Callable[[], list[Slice]]:
+                      name: str, config: AnalysisConfig, filters: Filters,
+                      counts: dict) -> Callable[[], list[Slice]]:
     """Single-feature analysis of ``name`` over the records in ``mask``:
     one slice per category value present, or one per HPD interval, each
-    conjoined with the ``base`` predicates."""
+    conjoined with the ``base`` predicates.
+
+    ``mask`` holds the members of ``base``, so a candidate's members are
+    the records of ``mask`` its own predicate admits; they are counted
+    there.  Only candidates that pass the support and performance gates are
+    returned, and their (support, correct) go into ``counts`` under their
+    predicate key."""
     feature = dataset.features[name]
     categorical = feature.kind is FeatureKind.CATEGORICAL
     heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
@@ -178,24 +208,39 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
         if heuristic not in config.heuristics:
             return []
         values = feature.values[mask]
+        correct = dataset.correctness[mask]
         if categorical:
-            codes = np.unique(values[values >= 0]).astype(np.intp).tolist()
+            present = values >= 0
+            codes = values[present].astype(np.intp)
+            support = np.bincount(codes)
+            hits = np.bincount(codes[correct[present]], minlength=support.size)
+            found = np.flatnonzero(support).tolist()
             predicates = [ValueSet(codes=(code,), labels=(feature.labels[code],))
-                          for code in codes]
+                          for code in found]
+            support, hits = support[found].tolist(), hits[found].tolist()
         else:
-            predicates = hpd.hpd_scan(values, dataset.correctness[mask],
-                                      config.hpd)
-        return [make_slice({**base, name: pred}, heuristic)
-                for pred in predicates]
+            predicates = hpd.hpd_scan(values, correct, config.hpd)
+            support, hits = _interval_counts(values, correct, predicates)
+        kept = []
+        for pred, n, k in zip(predicates, support, hits):
+            if filters.admits(n, k):
+                sl = make_slice({**base, name: pred}, heuristic)
+                counts[sl.predicate_key()] = n, k
+                kept.append(sl)
+        return kept
     return task
 
 
-def generate_one_way(dataset: Dataset, config: AnalysisConfig) -> list[Slice]:
-    """Single-feature candidates: conditioning on the whole dataset, which
-    yields every categorical value (labels come from present values only)
-    and the HPD scan over every continuous feature."""
+def generate_one_way(dataset: Dataset, config: AnalysisConfig,
+                     filters: Filters, counts: dict) -> list[Slice]:
+    """Single-feature candidates that pass the support and performance
+    gates: conditioning on the whole dataset, which yields every categorical
+    value (labels come from present values only) and the HPD scan over every
+    continuous feature.  Each candidate's (support, correct) goes into
+    ``counts`` under its predicate key."""
     everyone = np.ones(dataset.n_records, dtype=bool)
-    tasks = [_conditioned_task(dataset, everyone, {}, name, config)
+    tasks = [_conditioned_task(dataset, everyone, {}, name, config, filters,
+                               counts)
              for name in dataset.feature_names]
     return _run_tasks(tasks, config.workers)
 
@@ -215,19 +260,24 @@ def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
 
 
 def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
-                          config: AnalysisConfig, filters: Filters) -> list[Slice]:
+                          config: AnalysisConfig, filters: Filters,
+                          counts: dict) -> list[Slice]:
     """Order-``order`` candidates via conditioning and decision trees.
 
     Conditioning restricts the dataset to each seed's members and reruns
     single-feature analysis on every feature the seed does not constrain;
-    trees are fitted on every subset of ``order`` features, so they may
-    also yield lower-order slices.
+    its candidates are counted inside the seed's rows and gated there, and
+    their (support, correct) go into ``counts``.  Trees are fitted on every
+    subset of ``order`` features, so they may also yield lower-order
+    slices; their nodes are gated on the rows they hold and their slices
+    carry no counts.
     """
     tasks = []
     for seed in seeds:
         seed_mask = membership(dataset, seed)
         base = dict(seed.predicates)
-        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config)
+        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config,
+                                       filters, counts)
                      for name in dataset.feature_names if name not in base)
     if Heuristic.DT in config.heuristics:
         tasks.extend(_tree_tasks(dataset, order, config, filters))
@@ -254,9 +304,11 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     """Full pipeline: summary, filters, one generation round per order, final
     report set, with candidate/reported counts per (heuristic, order).
 
-    Each round evaluates only predicates no earlier candidate has (first
+    Each round takes only predicates no earlier candidate has (first
     occurrence wins) and is ranked once; its slices of the round's order
-    seed the next round's conditioning."""
+    seed the next round's conditioning.  A conditioned candidate comes with
+    its counts, so only its tail is summed here; a tree candidate is
+    evaluated against the dataset."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
 
@@ -264,17 +316,22 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     candidates = []
     reported = []
     for order in range(1, config.max_order + 1):
+        counts = {}
         if order == 1:
-            generated = generate_one_way(dataset, config)
+            generated = generate_one_way(dataset, config, filters, counts)
         else:
             seeds = [sl for sl, _ in ranked if sl.order == order - 1]
-            generated = generate_higher_order(dataset, seeds, order, config, filters)
+            generated = generate_higher_order(dataset, seeds, order, config,
+                                              filters, counts)
         this_round = []
         for sl in generated:
             key = sl.predicate_key()
             if key not in seen:
                 seen.add(key)
-                this_round.append((sl, evaluate_slice(dataset, sl)))
+                carried = counts.get(key)
+                this_round.append((sl, evaluate_slice(dataset, sl)
+                                   if carried is None
+                                   else _counted_stats(dataset, *carried)))
         candidates.extend((sl, stats) for sl, stats in this_round
                           if filters.admits(stats.support, stats.correct))
         ranked = filter_and_rank(this_round, filters)

@@ -204,7 +204,7 @@ class TestInferKinds:
         assert ds.features["x"].kind is FeatureKind.CONTINUOUS
         feature = ds.features["x"]
         assert np.flatnonzero(np.isnan(feature.values)).tolist() == [7, 50]
-        assert len(feature.labels) == 198
+        assert feature.labels == ()
         assert np.isfinite(np.delete(feature.values, [7, 50])).all()
 
     def test_nan_stays_a_label_in_text_column(self, tmp_path):
@@ -307,5 +307,6 @@ class TestCsvRoundTrip:
                 want_missing = [cells[i] == "" for i in kept]
             feature = ds.features[name]
             assert feature.kind is want_kind
-            assert feature.labels == want_labels
+            assert feature.labels == (
+                want_labels if want_kind is FeatureKind.CATEGORICAL else ())
             assert np.isnan(feature.values).tolist() == want_missing

@@ -4,18 +4,27 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceminer import _kernels
-from sliceminer.dataset import DatasetSummary
-from sliceminer.model import Filters, Heuristic, Interval, ValueSet, make_slice
+from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
+                                summarize)
+from sliceminer.hpd import HpdConfig
+from sliceminer.model import (Filters, Heuristic, Interval, SliceStats, ValueSet,
+                              make_slice)
 from sliceminer.oracle import exhaustive_categorical_slices, slice_key_set
 from sliceminer.slicer import (AnalysisConfig, evaluate_slice, filter_and_rank,
                                generate_higher_order, generate_one_way,
                                membership, min_support, perf_threshold,
-                               run_analysis)
+                               resolve_filters, run_analysis)
+
+# admits every candidate with two or more members
+EVERYTHING = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
 from sliceminer.stats import hypergeom_lower_pvalue
 from tests.conftest import dataset_from_columns
 
@@ -118,10 +127,23 @@ class TestGenerateOneWay:
     def test_two_value_feature_gives_two_candidates(self, tmp_path):
         ds = dataset_from_columns(
             tmp_path, {"f": ["a", "b"] * 20}, [True, False] * 20)
-        out = generate_one_way(ds, AnalysisConfig())
+        counts = {}
+        out = generate_one_way(ds, AnalysisConfig(), EVERYTHING, counts)
         cats = [sl for sl in out if sl.heuristic is Heuristic.CATEGORICAL]
         assert len(cats) == 2
         assert all(sl.order == 1 for sl in cats)
+        assert sorted(counts[sl.predicate_key()] for sl in cats) == [
+            (20, 0), (20, 20)]
+
+    def test_gate_failing_value_not_emitted(self, tmp_path):
+        # "a" is always right, so it fails the performance gate
+        ds = dataset_from_columns(
+            tmp_path, {"f": ["a", "b"] * 20}, [True, False] * 20)
+        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
+        counts = {}
+        out = generate_one_way(ds, AnalysisConfig(), filters, counts)
+        assert [dict(sl.predicates)["f"].labels for sl in out] == [("b",)]
+        assert counts == {out[0].predicate_key(): (20, 0)}
 
     def test_planted_band_found_by_interval_scan(self, tmp_path):
         rng = np.random.default_rng(186)
@@ -130,7 +152,7 @@ class TestGenerateOneWay:
         correct = ~band
         ds = dataset_from_columns(
             tmp_path, {"x": [f"{v:.9f}" for v in values]}, correct.tolist())
-        out = generate_one_way(ds, AnalysisConfig())
+        out = generate_one_way(ds, AnalysisConfig(), EVERYTHING, {})
         hits = []
         for sl in out:
             assert sl.heuristic is Heuristic.HPD
@@ -147,10 +169,12 @@ class TestGenerateOneWay:
             {"c": ["a", "b"] * 30, "x": [float(i) / 60 for i in range(60)]},
             [True] * 40 + [False] * 20)
         only_cat = generate_one_way(
-            ds, AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL})))
+            ds, AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL})),
+            EVERYTHING, {})
         assert {sl.heuristic for sl in only_cat} <= {Heuristic.CATEGORICAL}
         only_hpd = generate_one_way(
-            ds, AnalysisConfig(heuristics=frozenset({Heuristic.HPD})))
+            ds, AnalysisConfig(heuristics=frozenset({Heuristic.HPD})),
+            EVERYTHING, {})
         assert {sl.heuristic for sl in only_hpd} <= {Heuristic.HPD}
 
 
@@ -160,7 +184,7 @@ class TestGenerateHigherOrder:
             tmp_path, {"only": [0, 1] * 30}, [True, False] * 30)
         seed = make_slice({"only": ValueSet((0,), ("0",))}, Heuristic.CATEGORICAL)
         filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
-        out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters)
+        out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters, {})
         assert out == []
 
     def test_conditioning_produces_conjunction(self, tmp_path):
@@ -185,7 +209,7 @@ class TestGenerateHigherOrder:
         filters = Filters(min_support=5, perf_threshold=0.8, p_value_max=0.05)
         config = AnalysisConfig(heuristics=frozenset({Heuristic.HPD,
                                                       Heuristic.CATEGORICAL}))
-        out = generate_higher_order(ds, [seed], 2, config, filters)
+        out = generate_higher_order(ds, [seed], 2, config, filters, {})
         pairs = [sl for sl in out if sl.features == ("group", "x")]
         assert pairs
         covering = [sl for sl in pairs
@@ -204,7 +228,7 @@ class TestGenerateHigherOrder:
         filters = Filters(min_support=2, perf_threshold=0.45, p_value_max=0.05)
         out = generate_higher_order(
             ds, [], 2, AnalysisConfig(heuristics=frozenset({Heuristic.DT})),
-            filters)
+            filters, {})
         quadrants = [sl for sl in out if sl.order == 2
                      and evaluate_slice(ds, sl).performance == 0.0]
         assert len(quadrants) >= 2
@@ -245,7 +269,6 @@ class TestFilterAndRank:
         a = make_slice({"a": ValueSet((0,), ("a0",))}, Heuristic.CATEGORICAL)
         b = make_slice({"b": ValueSet((0,), ("b0",))}, Heuristic.CATEGORICAL)
         c = make_slice({"c": ValueSet((0,), ("c0",))}, Heuristic.CATEGORICAL)
-        from sliceminer.model import SliceStats
         evaluated = [
             (a, SliceStats(support=10, correct=1, performance=0.1, p_value=0.01)),
             (b, SliceStats(support=30, correct=3, performance=0.1, p_value=0.001)),
@@ -340,7 +363,8 @@ class TestRunAnalysis:
         as_cat = make_slice(dict(found.predicates), Heuristic.CATEGORICAL)
         as_dt = make_slice(dict(found.predicates), Heuristic.DT)
         monkeypatch.setattr("sliceminer.slicer.generate_one_way",
-                            lambda dataset, config: [as_cat, as_dt])
+                            lambda dataset, config, filters, counts:
+                            [as_cat, as_dt])
         result = run_analysis(ds, config)
         assert [sl for sl, _ in result.reported] == [as_cat]
         assert result.reported_counts == {("categorical", 1): 1}
@@ -362,44 +386,224 @@ class TestRunAnalysis:
 
     def test_each_predicate_evaluated_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
+        rounds = []
         evaluated = Counter()
+        built = []
 
-        def counting(dataset, sl):
+        def recording_rank(pairs, filters):
+            rounds.append(list(pairs))
+            return filter_and_rank(pairs, filters)
+
+        def counting_evaluate(dataset, sl):
             evaluated[sl.predicate_key()] += 1
+            assert sl.heuristic is Heuristic.DT  # conditioned ones come counted
             return evaluate_slice(dataset, sl)
 
-        monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting)
+        def counting_stats(**fields):
+            built.append(fields)
+            return SliceStats(**fields)
+
+        monkeypatch.setattr("sliceminer.slicer.filter_and_rank", recording_rank)
+        monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
+        monkeypatch.setattr("sliceminer.slicer.SliceStats", counting_stats)
         result = run_analysis(ds, AnalysisConfig(max_order=3))
         assert {sl.order for sl, _ in result.reported} >= {1, 2}
-        assert max(evaluated.values()) == 1
-        assert {sl.predicate_key() for sl, _ in result.reported} <= set(evaluated)
+        pairs = [pair for evaluated_round in rounds for pair in evaluated_round]
+        keys = Counter(sl.predicate_key() for sl, _ in pairs)
+        assert max(keys.values()) == 1  # each key gets one SliceStats ...
+        assert len(built) == len(pairs)  # ... and no other is built
+        assert evaluated and max(evaluated.values()) == 1
+        assert set(evaluated) <= set(keys)
+        assert {sl.predicate_key() for sl, _ in result.reported} <= set(keys)
 
     def test_each_tail_summed_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
-        evaluated = set()
+        admitted = set()
         tails = Counter()
         tail = _kernels.hypergeom_lower_tail
+        one_way = generate_one_way
+        higher = generate_higher_order
+
+        def carried(slices, counts):
+            assert {sl.predicate_key() for sl in slices} >= set(counts)
+            admitted.update(counts.values())
+            return slices
 
         def counting_evaluate(dataset, sl):
             stats = evaluate_slice(dataset, sl)
             if stats.support:
-                evaluated.add((stats.support, stats.correct))
+                admitted.add((stats.support, stats.correct))
             return stats
 
         def counting_tail(population, successes, draws, observed):
             tails[population, successes, draws, observed] += 1
             return tail(population, successes, draws, observed)
 
+        monkeypatch.setattr(
+            "sliceminer.slicer.generate_one_way",
+            lambda *args: carried(one_way(*args), args[-1]))
+        monkeypatch.setattr(
+            "sliceminer.slicer.generate_higher_order",
+            lambda *args: carried(higher(*args), args[-1]))
         monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
         monkeypatch.setattr(_kernels, "hypergeom_lower_tail", counting_tail)
         hypergeom_lower_pvalue.cache_clear()
-        run_analysis(ds, AnalysisConfig(max_order=3))
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
         assert max(tails.values()) == 1
         assert {key[:2] for key in tails} == {
             (ds.n_records, int(ds.correctness.sum()))}
-        assert {key[2:] for key in tails} == evaluated
+        assert {key[2:] for key in tails} == admitted
+        assert all(result.filters.admits(n, k) for n, k in admitted)
 
         # a raised ValueError is not cached: the repeat raises too
         for _ in range(2):
             with pytest.raises(ValueError):
                 hypergeom_lower_pvalue(10, 5, 4, 5)
+
+
+# cells drawn from few values, so ties are common; -0.0 and 0.0 are one value
+CONTINUOUS_CELLS = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 0.5, 2.0, math.nan])
+CATEGORICAL_CELLS = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan])
+
+
+@st.composite
+def mixed_datasets(draw):
+    n = draw(st.integers(8, 40))
+    kinds = draw(st.lists(st.sampled_from(list(FeatureKind)), min_size=2,
+                          max_size=4))
+    features = {}
+    for j, kind in enumerate(kinds):
+        continuous = kind is FeatureKind.CONTINUOUS
+        cells = CONTINUOUS_CELLS if continuous else CATEGORICAL_CELLS
+        values = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        labels = () if continuous else ("a", "b", "c", "d")
+        features[f"f{j}"] = Feature(f"f{j}", kind, values, labels)
+    correct = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return Dataset(features=features, correctness=correct, n_records=n,
+                   n_correct=int(correct.sum()), rejected_rows=())
+
+
+def seed_predicate(draw, feature):
+    if feature.kind is FeatureKind.CATEGORICAL:
+        code = draw(st.integers(0, 3))
+        return ValueSet((code,), (feature.labels[code],))
+    low, high = sorted(draw(st.lists(CONTINUOUS_CELLS.filter(math.isfinite),
+                                     min_size=2, max_size=2)))
+    return Interval(low, high)
+
+
+def recount(dataset, sl):
+    mask = membership(dataset, sl)
+    return int(mask.sum()), int(dataset.correctness[mask].sum())
+
+
+class TestCountedInsideTheSeed:
+    """A conditioned candidate's members are its seed's members its own
+    predicate admits, so counting inside the seed's rows must agree with a
+    membership recount, and gating there must drop exactly the candidates
+    that fail the support and performance gates."""
+
+    CONFIG = AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL,
+                                                  Heuristic.HPD}),
+                            hpd=HpdConfig(initial_density=0.9, epsilon=0.2,
+                                          min_density_floor=0.3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dataset=mixed_datasets(),
+           threshold=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+           min_support=st.integers(2, 5))
+    def test_carried_counts_equal_membership(self, data, dataset, threshold,
+                                             min_support):
+        names = dataset.feature_names
+        seed_names = data.draw(st.lists(st.sampled_from(names), min_size=0,
+                                        max_size=min(2, len(names) - 1),
+                                        unique=True))
+        filters = Filters(min_support=min_support, perf_threshold=threshold,
+                          p_value_max=0.05)
+        everything, counts = {}, {}
+        if seed_names:
+            seed = make_slice({name: seed_predicate(data.draw, dataset.features[name])
+                               for name in seed_names}, Heuristic.CATEGORICAL)
+            order = seed.order + 1
+            ungated = generate_higher_order(dataset, [seed], order, self.CONFIG,
+                                            EVERYTHING, everything)
+            gated = generate_higher_order(dataset, [seed], order, self.CONFIG,
+                                          filters, counts)
+        else:
+            ungated = generate_one_way(dataset, self.CONFIG, EVERYTHING, everything)
+            gated = generate_one_way(dataset, self.CONFIG, filters, counts)
+        for sl in ungated:
+            assert everything[sl.predicate_key()] == recount(dataset, sl)
+        assert gated == [sl for sl in ungated
+                         if filters.admits(*everything[sl.predicate_key()])]
+        assert counts == {key: nk for key, nk in everything.items()
+                          if filters.admits(*nk)}
+
+
+def evaluate_every_key(dataset, config):
+    """The pipeline as it was before conditioned candidates were counted
+    inside their seed: generate every conditioned candidate ungated, then
+    evaluate each new key against the dataset."""
+    summary = summarize(dataset, config.ci_level)
+    filters = resolve_filters(summary, config)
+    conditioning = replace(config, heuristics=frozenset(
+        {Heuristic.CATEGORICAL, Heuristic.HPD}) & config.heuristics)
+    trees = replace(config, heuristics=frozenset({Heuristic.DT}))
+
+    seen = set()
+    candidates = []
+    reported = []
+    for order in range(1, config.max_order + 1):
+        if order == 1:
+            generated = generate_one_way(dataset, conditioning, EVERYTHING, {})
+        else:
+            seeds = [sl for sl, _ in ranked if sl.order == order - 1]
+            generated = generate_higher_order(dataset, seeds, order, conditioning,
+                                              EVERYTHING, {})
+            generated += generate_higher_order(dataset, [], order, trees,
+                                               filters, {})
+        this_round = []
+        for sl in generated:
+            key = sl.predicate_key()
+            if key not in seen:
+                seen.add(key)
+                this_round.append((sl, evaluate_slice(dataset, sl)))
+        candidates.extend((sl, stats) for sl, stats in this_round
+                          if filters.admits(stats.support, stats.correct))
+        ranked = filter_and_rank(this_round, filters)
+        reported.extend(ranked)
+    reported.sort(key=lambda pair: (pair[1].p_value, -pair[1].support,
+                                    pair[0].features))
+    return (tuple(reported),
+            dict(Counter((sl.heuristic.value, sl.order) for sl, _ in candidates)),
+            dict(Counter((sl.heuristic.value, sl.order) for sl, _ in reported)))
+
+
+def holey_dataset(tmp_path, seed, n=240):
+    """random_dataset with missing cells, ties and -0.0 in every column."""
+    rng = np.random.default_rng(seed)
+    cat1 = rng.choice(["a", "b", "c", ""], n, p=[0.3, 0.3, 0.3, 0.1])
+    cat2 = rng.choice(["0", "1", "2", "3", ""], n)
+    x = np.round(rng.normal(0, 1, n), 1)
+    cells = ["" if rng.random() < 0.1 else
+             rng.choice(["-0.0", "0.0"]) if v == 0 else f"{v:.1f}" for v in x]
+    weak = (cat1 == "a") & np.isin(cat2, ["0", "1"])
+    correct = np.where(weak, rng.random(n) < 0.45, rng.random(n) < 0.9)
+    return dataset_from_columns(
+        tmp_path, {"cat1": cat1.tolist(), "cat2": cat2.tolist(), "x": cells},
+        correct.tolist())
+
+
+class TestMatchesEvaluatingEveryKey:
+    @pytest.mark.parametrize("max_order", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("build, seed", [(random_dataset, 5),
+                                             (random_dataset, 99),
+                                             (holey_dataset, 3)])
+    def test_same_results(self, tmp_path, build, seed, max_order, workers):
+        ds = build(tmp_path, seed)
+        config = AnalysisConfig(max_order=max_order, workers=workers)
+        result = run_analysis(ds, config)
+        assert result.reported
+        assert (result.reported, result.candidate_counts,
+                result.reported_counts) == evaluate_every_key(ds, config)
