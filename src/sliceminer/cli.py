@@ -10,6 +10,7 @@ before any input is read, so a bad knob exits 1 even when the input is bad.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import fields
@@ -146,7 +147,22 @@ class _Parser(argparse.ArgumentParser):
 
 def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
         format: str, out: str | None = None) -> int:
-    """Execute one analysis run; returns the process exit code."""
+    """Execute one analysis run; returns the process exit code.
+
+    The cyclic collector is held off for the run and then restored to the
+    caller's setting: the run's objects are mostly acyclic, and the few
+    cycles it leaves (tree-building closures, the parser) are small."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(path, ingest, analysis, format, out)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
+         format: str, out: str | None) -> int:
     dataset = load_table(path, ingest)
     if dataset.rejected_rows:
         rows = ", ".join(str(r) for r in dataset.rejected_rows[:20])

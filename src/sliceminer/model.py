@@ -87,10 +87,12 @@ class Slice:
         return tuple(name for name, _ in self.predicates)
 
     def predicate_key(self) -> tuple:
-        """Canonical key identifying the predicate, ignoring provenance."""
-        return tuple((name, "set", pred.codes) if isinstance(pred, ValueSet)
-                     else (name, "interval", pred)
-                     for name, pred in self.predicates)
+        """Canonical key identifying the predicate, ignoring provenance.
+
+        It is the predicates tuple itself: within one dataset a category
+        set's labels follow from its codes, so nothing needs building and
+        no slice holds a second copy."""
+        return self.predicates
 
 
 def make_slice(predicates: dict[str, FeaturePredicate],

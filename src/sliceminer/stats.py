@@ -47,8 +47,9 @@ def _validate_params(population: int, successes: int, draws: int,
 
 # A run asks for one (population, successes) pair and a few thousand distinct
 # (draws, observed): 3,493 for the 10,466 gate-passing slices of a 2,000-row
-# order-2 run.  The bound only caps memory on far larger inputs: a full cache
-# holds about 12 MiB.
+# order-2 run, over 568 distinct draws, whose masses ``_kernels`` memoises in
+# turn.  The bound only caps memory on far larger inputs: a full cache holds
+# about 12 MiB.
 @lru_cache(maxsize=1 << 16)
 def hypergeom_lower_pvalue(population: int, successes: int, draws: int,
                            observed: int) -> float:

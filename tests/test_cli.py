@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from sliceminer import cli
 from sliceminer.cli import build_parser, main, self_check
 from tests.conftest import child_env, write_csv
 
@@ -76,6 +78,34 @@ class TestExitCodes:
                      "--pvalue", "1.5"])
         assert code == 1
         assert "p_value_max" in capsys.readouterr().err
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored_on_every_exit(self, enabled, mixed_csv,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        during = []
+        analyse = cli.run_analysis
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return analyse(*args)
+
+        monkeypatch.setattr(cli, "run_analysis", recording)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            runs = [([mixed_csv, "-g", "label", "-p", "pred"], 0),
+                    ([mixed_csv, "-g", "label", "-p", "nope"], 1),
+                    ([str(tmp_path / "ghost.csv"), "-g", "label", "-p",
+                      "pred"], 2)]
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]  # held off while the analysis ran
 
 
 class TestReportWiring:

@@ -460,6 +460,38 @@ class TestRunAnalysis:
             with pytest.raises(ValueError):
                 hypergeom_lower_pvalue(10, 5, 4, 5)
 
+    def test_key_is_the_predicates(self, tmp_path, monkeypatch):
+        ds = random_dataset(tmp_path, 5)
+        generated = []
+        one_way = generate_one_way
+        higher = generate_higher_order
+
+        def recording(slices):
+            generated.extend(slices)
+            return slices
+
+        def spelled_out(sl):  # keyed by name, kind and codes or interval
+            return tuple((name, "set", pred.codes)
+                         if isinstance(pred, ValueSet)
+                         else (name, "interval", pred)
+                         for name, pred in sl.predicates)
+
+        monkeypatch.setattr("sliceminer.slicer.generate_one_way",
+                            lambda *args: recording(one_way(*args)))
+        monkeypatch.setattr("sliceminer.slicer.generate_higher_order",
+                            lambda *args: recording(higher(*args)))
+        run_analysis(ds, AnalysisConfig(max_order=3))
+        routes = {sl.heuristic for sl in generated}
+        assert {Heuristic.CATEGORICAL, Heuristic.HPD, Heuristic.DT} <= routes
+        assert all(sl.predicate_key() is sl.predicates for sl in generated)
+        # it merges exactly the slices the spelled-out key merged
+        merged = {}
+        for sl in generated:
+            merged.setdefault(sl.predicate_key(), set()).add(spelled_out(sl))
+        assert all(len(old) == 1 for old in merged.values())
+        assert len(merged) == len({spelled_out(sl) for sl in generated})
+        assert len(merged) < len(generated)  # some keys repeat
+
 
 # cells drawn from few values, so ties are common; -0.0 and 0.0 are one value
 CONTINUOUS_CELLS = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 0.5, 2.0, math.nan])

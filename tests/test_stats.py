@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceminer import _kernels
 from sliceminer.oracle import exact_hypergeom_pvalue
 from sliceminer.stats import hypergeom_lower_pvalue, wilson_interval
 
@@ -91,6 +92,136 @@ class TestOracleAgreement:
             full = hypergeom_lower_pvalue(population, successes, draws,
                                           min(draws, successes))
             assert full == pytest.approx(1.0, abs=1e-10)
+
+
+def fsum_tail(population: int, successes: int, draws: int,
+              observed: int) -> float:
+    """The tail kernel as it was before its sums were certified: masses by
+    ratio recurrence from the mode, each part summed by a full ``fsum``."""
+    lo = max(0, draws - (population - successes))
+    hi = min(draws, successes)
+    if observed < lo:
+        return 0.0
+    if observed >= hi:
+        return 1.0
+    xs = np.arange(lo, hi + 1, dtype=np.float64)
+    mode = int(((draws + 1.0) * (successes + 1.0)) // (population + 2.0))
+    mode = min(max(mode, lo), hi)
+    i_mode = mode - lo
+    u = np.empty(xs.size)
+    u[i_mode] = 1.0
+    x = xs[:-1]
+    up = ((successes - x) * (draws - x)
+          / ((x + 1.0) * (population - successes - draws + x + 1.0)))
+    if i_mode < xs.size - 1:
+        u[i_mode + 1:] = np.cumprod(up[i_mode:])
+    if i_mode > 0:
+        u[:i_mode] = np.cumprod(1.0 / up[:i_mode][::-1])[::-1]
+    lower = math.fsum(u[: observed - lo + 1].tolist())
+    total = lower + math.fsum(u[observed - lo + 1:].tolist())
+    return min(max(lower / total, 0.0), 1.0)
+
+
+@st.composite
+def skewed_params(draw):
+    """Populations up to 100k, mostly with at least 90% successes: long
+    supports whose far masses fall below the certificate's cut."""
+    population = draw(st.integers(2, 100_000))
+    successes = draw(st.one_of(
+        st.integers(math.ceil(0.9 * population), population),
+        st.integers(0, population)))
+    draws = draw(st.integers(1, population))
+    lo = max(0, draws - (population - successes))
+    hi = min(draws, successes)
+    observed = draw(st.one_of(st.integers(lo, hi),
+                              st.integers(lo, min(hi, lo + 50))))
+    return population, successes, draws, observed
+
+
+class TestCertifiedTail:
+    """The kernel's tail equals the full-``fsum`` tail bit for bit."""
+
+    def test_every_tail_up_to_25(self):
+        for population in range(1, 26):
+            for successes in range(population + 1):
+                for draws in range(1, population + 1):
+                    lo = max(0, draws - (population - successes))
+                    for observed in range(lo, min(draws, successes) + 1):
+                        args = population, successes, draws, observed
+                        assert (_kernels.hypergeom_lower_tail(*args)
+                                == fsum_tail(*args)), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(skewed_params())
+    def test_large_populations(self, params):
+        assert _kernels.hypergeom_lower_tail(*params) == fsum_tail(*params)
+
+    @pytest.mark.parametrize("population, successes, draws", [
+        (2_000, 1_000, 1_000), (20_000, 18_500, 3_000),
+        (100_000, 99_000, 9_000),
+        (5_000, 2_500, 2_500)])
+    def test_tails_below_1e_300(self, population, successes, draws):
+        lo = max(0, draws - (population - successes))
+        tiny = 0
+        for observed in range(lo, min(draws, successes)):
+            want = fsum_tail(population, successes, draws, observed)
+            if want >= 1e-300:
+                break
+            tiny += 1
+            assert _kernels.hypergeom_lower_tail(
+                population, successes, draws, observed) == want
+        assert tiny > 10
+
+    @pytest.fixture()
+    def fsum_calls(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+
+        def counting(terms):
+            calls.append(len(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        return calls
+
+    def test_nothing_dropped_is_one_sum(self, fsum_calls):
+        part = np.array([0.25, 1.0, 0.5, 2.0 ** -70])
+        assert _kernels._exact_sum(part) == 1.75 + 2.0 ** -70
+        assert fsum_calls == [4]
+
+    def test_certified_sum_skips_the_dropped_terms(self, fsum_calls):
+        part = np.array([2.0 ** -90] * 100 + [1.0, 0.5] + [1e-40] * 100)
+        assert _kernels._exact_sum(part) == math.fsum(part.tolist()) == 1.5
+        assert fsum_calls[:2] == [2, 3]  # kept terms, then kept and bound
+        assert len(fsum_calls) == 3  # the third is the check above
+
+    @pytest.mark.parametrize("kept", [[0.5, 0.5], [0.5, 0.5 - 2.0 ** -54]])
+    def test_power_of_two_sum_certifies(self, kept, fsum_calls):
+        # the second kept sum ties half-way below 1.0 and rounds up to it;
+        # dropped terms only add, so 1.0 stays the rounded total
+        part = np.array(kept + [2.0 ** -100, 0.0])
+        assert _kernels._exact_sum(part) == 1.0 == math.fsum(part.tolist())
+        assert fsum_calls[:2] == [2, 3]
+
+    def test_subnormal_cut_still_certifies(self, fsum_calls):
+        part = np.array([2.0 ** -1074, 2.0 ** -990, 0.0])  # cut 2**-1070
+        assert _kernels._exact_sum(part) == 2.0 ** -990
+        assert fsum_calls == [1, 2]
+        assert math.fsum(part.tolist()) == 2.0 ** -990
+
+    def test_tie_broken_by_a_dropped_term_falls_back(self, fsum_calls):
+        # the kept terms round to 1.0 on a tie, and one dropped term
+        # breaks it: the full sum rounds up, so the kept sum would be wrong
+        part = np.array([1.0, 2.0 ** -53, 2.0 ** -100])
+        got = _kernels._exact_sum(part)
+        assert fsum_calls == [2, 3, 3]
+        assert got == 1.0 + 2.0 ** -52 == math.fsum(part.tolist())
+
+    def test_masses_are_read_only(self):
+        u = _kernels._masses(300, 230, 21)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        assert _kernels._masses(300, 230, 21) is u
 
 
 class TestWilson:
