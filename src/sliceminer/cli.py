@@ -190,8 +190,9 @@ def _run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    else:  # UTF-8 whatever the locale, the same bytes as --out
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     return 0
 
 

@@ -84,7 +84,7 @@ class Slice:
 
     @property
     def features(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.predicates)
+        return tuple([name for name, _ in self.predicates])
 
     def predicate_key(self) -> tuple:
         """Canonical key identifying the predicate, ignoring provenance.

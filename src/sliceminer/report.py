@@ -1,7 +1,10 @@
 """The run's report document, and its rendering as JSON, markdown, or CSV.
 
 ``build_report`` assembles the one document every format renders from; JSON
-is its canonical machine form: versioned, sorted keys, stable byte output.  Markdown and CSV show performance to 3 decimals and p-values in
+is its canonical machine form: versioned, sorted keys, stable byte output.
+Its bytes are exactly ``json.dumps(doc, indent=2, sort_keys=True,
+ensure_ascii=False)`` plus a newline; each slice entry is written from one
+template.  Markdown and CSV show performance to 3 decimals and p-values in
 scientific notation with a 2-digit significand.  Predicate strings render
 intervals as inclusive "low–high" spans over actual data values (en dash
 separator, so negative bounds stay unambiguous) and category sets as original
@@ -14,6 +17,8 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Sequence
 
 from .dataset import Dataset, FeatureKind
@@ -161,15 +166,21 @@ def build_report(result: AnalysisResult, dataset: Dataset,
 
     slices = []
     referenced: dict[str, dict] = {}
+    rendered: dict[FeaturePredicate, str] = {}  # slices share predicates
     for sl, stats in result.reported:
-        slices.append({"features": list(sl.features),
-                       "predicates": {name: render_predicate(pred)
-                                      for name, pred in sl.predicates},
+        predicates = {}
+        for name, pred in sl.predicates:
+            text = rendered.get(pred)
+            if text is None:
+                text = rendered[pred] = render_predicate(pred)
+            predicates[name] = text
+        features = list(predicates)
+        slices.append({"features": features, "predicates": predicates,
                        "heuristic": sl.heuristic.value, "order": sl.order,
                        "support": stats.support, "correct": stats.correct,
                        "performance": stats.performance,
                        "p_value": stats.p_value})
-        for name in sl.features:
+        for name in features:
             if name not in referenced:
                 feature = dataset.features[name]
                 entry = {"kind": feature.kind.value}
@@ -214,9 +225,63 @@ def _fmt_pvalue(value: float) -> str:
     return f"{value:.1E}"
 
 
+# One ``slices`` entry as json.dumps(indent=2, sort_keys=True) lays it out
+# inside the top-level list; its keys are the schema's, sorted.
+_SLICE_ROW = """{
+      "correct": %d,
+      "features": [
+        %s
+      ],
+      "heuristic": %s,
+      "order": %d,
+      "p_value": %s,
+      "performance": %s,
+      "predicates": {
+        %s
+      },
+      "support": %d
+    }"""
+_SLICE_FIELDS = itemgetter("correct", "features", "heuristic", "order",
+                           "p_value", "performance", "predicates", "support")
+_ITEM_SEP = ",\n        "
+
+
 def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True,
-                      ensure_ascii=False) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, byte for byte.  The small sections go through
+    ``json.dumps`` and are indented by replacing newlines (a JSON string
+    holds no raw newline); slice entries fill ``_SLICE_ROW`` with values
+    encoded as ``json`` encodes them: strings by its C encoder, floats by
+    ``float.__repr__`` (reported slices have finite performance and
+    p-value).  Every piece goes into one list joined once, so no large
+    intermediate string is built."""
+    encode = encode_basestring
+    number = float.__repr__
+    parts = []
+    separator = "{\n  "
+    for key in sorted(report):
+        parts += (separator, encode(key), ": ")
+        separator = ",\n  "
+        if key != "slices":
+            parts.append(json.dumps(report[key], indent=2, sort_keys=True,
+                                    ensure_ascii=False).replace("\n", "\n  "))
+            continue
+        rows = report["slices"]
+        if not rows:
+            parts.append("[]")
+            continue
+        parts.append("[\n    ")
+        for (correct, features, heuristic, order, p_value, performance,
+             predicates, support) in map(_SLICE_FIELDS, rows):
+            parts += (_SLICE_ROW % (
+                correct, _ITEM_SEP.join(map(encode, features)),
+                encode(heuristic), order, number(p_value), number(performance),
+                _ITEM_SEP.join([f"{encode(name)}: {encode(text)}"
+                                for name, text in sorted(predicates.items())]),
+                support), ",\n    ")
+        parts[-1] = "\n  ]"
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _render_markdown(report: dict) -> str:

@@ -154,6 +154,21 @@ class TestReportWiring:
         assert all(s["heuristic"] == "categorical" for s in doc["slices"])
 
 
+class TestStdoutBytes:
+    def test_stdout_is_utf8_whatever_the_locale(self, mixed_csv, tmp_path):
+        target = tmp_path / "report.json"
+        argv = [sys.executable, "-m", "sliceminer.cli", mixed_csv,
+                "-g", "label", "-p", "pred"]
+        env = child_env(PYTHONIOENCODING="latin-1")
+        to_file = subprocess.run(argv + ["--out", str(target)],
+                                 capture_output=True, env=env)
+        to_stdout = subprocess.run(argv, capture_output=True, env=env)
+        assert to_file.returncode == 0, to_file.stderr
+        assert to_stdout.returncode == 0, to_stdout.stderr
+        assert "–".encode("utf-8") in to_stdout.stdout  # not in latin-1
+        assert to_stdout.stdout == target.read_bytes()
+
+
 class TestStdinAndEnv:
     def test_stdin_input(self, mixed_csv):
         text = open(mixed_csv).read()

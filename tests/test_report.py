@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceminer import report
 from sliceminer.dataset import FeatureKind
 from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
 from sliceminer.report import (CSV_COLUMNS, build_report, parse_predicate,
@@ -129,7 +131,11 @@ class TestPredicateStrings:
 class TestRenderJson:
     def test_round_trip_is_byte_identical(self, tmp_path):
         ds, result = small_run(tmp_path)
-        text = render(build_report(result, ds), "json")
+        doc = build_report(result, ds)
+        text = render(doc, "json")
+        assert doc["slices"]
+        assert text == json.dumps(doc, indent=2, sort_keys=True,
+                                  ensure_ascii=False) + "\n"
         reparsed = json.dumps(json.loads(text), indent=2, sort_keys=True,
                               ensure_ascii=False) + "\n"
         assert reparsed == text
@@ -156,6 +162,87 @@ class TestRenderJson:
         assert doc["config"]["gap"] == 0.04
         assert doc["filters"]["min_support"] == result.filters.min_support
         assert doc["dataset"]["ci_method"] == "wilson"
+
+
+# strings json escapes or must pass through untouched, and floats at the
+# edges of float.__repr__
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f\n\t", "\u2028", "\U0001F600",
+                     "–", "", 'a "b" \\ c']),
+    st.text(max_size=8))
+EDGE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 0.1, 0.0, 1.0]),
+                        st.floats(0.0, 1.0))
+COUNTS = st.integers(0, 10**6)
+
+
+@st.composite
+def report_documents(draw):
+    names = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=3, unique=True))
+    features = {}
+    for name in names:
+        if draw(st.booleans()):
+            features[name] = {"kind": "categorical",
+                              "values": draw(st.lists(AWKWARD_TEXT,
+                                                      max_size=3))}
+        else:
+            features[name] = {"kind": "continuous"}
+    slices = []
+    for _ in range(draw(st.integers(0, 3))):
+        used = draw(st.lists(st.sampled_from(names), min_size=1,
+                             max_size=len(names), unique=True))
+        slices.append({
+            "features": used,
+            "predicates": {name: draw(AWKWARD_TEXT) for name in used},
+            "heuristic": draw(st.sampled_from(["categorical", "hpd", "dt"])),
+            "order": len(used), "support": draw(COUNTS),
+            "correct": draw(COUNTS), "performance": draw(EDGE_FLOATS),
+            "p_value": draw(EDGE_FLOATS)})
+    return {
+        "schema_version": 1,
+        "dataset": {"records": draw(COUNTS), "correct": draw(COUNTS),
+                    "metric": draw(EDGE_FLOATS), "ci_low": draw(EDGE_FLOATS),
+                    "ci_high": draw(EDGE_FLOATS), "ci_level": 0.95,
+                    "ci_method": "wilson"},
+        "filters": {"min_support": draw(COUNTS),
+                    "perf_threshold": draw(EDGE_FLOATS), "p_value_max": 0.05},
+        "config": {"gap": draw(EDGE_FLOATS), "ground_truth": draw(AWKWARD_TEXT)},
+        "counts": {"candidates": {"hpd:1": draw(COUNTS)},
+                   "reported": {"hpd:1": len(slices)}},
+        "features": features,
+        "support_summary": [],
+        "slices": slices,
+    }
+
+
+class TestJsonWriterMatchesJsonDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(report_documents())
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert render(doc, "json") == json.dumps(
+            doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    def test_slice_template_keys_are_the_schema_keys_sorted(self):
+        keys = re.findall(r'^      "(\w+)":', report._SLICE_ROW, re.MULTILINE)
+        assert keys == sorted(SCHEMA["properties"]["slices"]["items"]["required"])
+
+
+def test_each_distinct_predicate_rendered_once(tmp_path, monkeypatch):
+    ds, result = small_run(tmp_path)
+    calls = []
+    render_one = report.render_predicate
+
+    def counting(pred):
+        calls.append(pred)
+        return render_one(pred)
+
+    monkeypatch.setattr(report, "render_predicate", counting)
+    doc = build_report(result, ds)
+    distinct = {pred for sl, _ in result.reported for _, pred in sl.predicates}
+    assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    assert sum(len(sl.predicates) for sl, _ in result.reported) > len(distinct)
+    assert [row["predicates"] for row in doc["slices"]] == [
+        {name: render_one(pred) for name, pred in sl.predicates}
+        for sl, _ in result.reported]
 
 
 def table7_style_report():
