@@ -12,9 +12,17 @@ An interval's members are all records equal to or between its end values.
 A window of ``m`` consecutive sorted records that ends inside a run of equal
 values therefore stands for an interval holding the whole run, more than
 ``m`` records; its accuracy, the next shrink and the restart's drop all use
-those members.  The scan works on index ranges of the sorted working sample:
-each value's run bounds and the prefix sums of correctness are computed
-once per working sample.
+those members.
+
+The scan works on index ranges of the sorted working sample.  A restart
+drops whole runs, so each record's offsets to the first and past-the-last
+record of its run never change: they are computed once per scan and cut
+along with the values, as are the prefix sums of correctness (those past
+the cut less the dropped records' count).  The current interval always
+starts and ends on run bounds, so a shrink step whose target count is at
+least the interval's records keeps it as it is and emits nothing; such a
+step only lowers the density, with no window search.  The emitted
+intervals are counted on the sorted sample the scan started from.
 """
 
 from __future__ import annotations
@@ -64,53 +72,60 @@ def shortest_interval(sorted_values: np.ndarray, proportion: float) -> Interval:
     return Interval(float(values[i]), float(values[i + m - 1]))
 
 
-def hpd_scan(values: np.ndarray, correctness: np.ndarray,
-             config: HpdConfig) -> list[Interval]:
+def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
+             ) -> tuple[list[Interval], list[int], list[int]]:
     """Run the shrink loop over one numeric feature.
 
-    ``values`` may contain NaN for missing entries; those records are ignored.
-    Every emitted bound is an actual value, so each interval holds at least
-    one record of the full non-missing sample.
+    Returns the emitted intervals and, for each, the records and correct
+    records of the full sample it holds.  ``values`` may contain NaN for
+    missing entries; those records are ignored.  Every emitted bound is an
+    actual value, so each interval holds at least one record.
     """
     vals = np.asarray(values, dtype=np.float64)
     corr = np.asarray(correctness, dtype=bool)
     keep = np.isfinite(vals)
     vals, corr = vals[keep], corr[keep]
     if vals.size < 2:
-        return []
+        return [], [], []
 
     order = np.argsort(vals, kind="stable")
-    work_v, work_c = vals[order], corr[order]
-    original = work_v.size
+    ranked = vals[order]
+    original = ranked.size
     stop_records = config.min_density_floor * original
+    # record i's run of equal values is [i - behind[i], i + ahead[i]); a
+    # restart drops whole runs, so these offsets hold in every working sample
+    index = np.arange(original)
+    behind = (index - np.searchsorted(ranked, ranked, side="left")).tolist()
+    ahead = (np.searchsorted(ranked, ranked, side="right") - index).tolist()
+    bound = ranked.tolist()
+    # correct records before each index; a restart shifts those past the cut
+    prefix = np.concatenate(([0], corr[order].cumsum()))
+    work_v, work_cum = ranked, prefix
     out: list[Interval] = []
 
     while work_v.size >= 2 and work_v.size >= stop_records:
         n = work_v.size
-        bound = work_v.tolist()
-        # [first[i], past[i]) are the records equal to work_v[i]
-        first = np.searchsorted(work_v, work_v, side="left").tolist()
-        past = np.searchsorted(work_v, work_v, side="right").tolist()
-        cum = [0, *np.cumsum(work_c).tolist()]
-
-        def window(lo: int, hi: int, density: float) -> tuple[int, int]:
-            """Records [j, k) of the narrowest window inside [lo, hi)."""
-            m = min(math.ceil(density * n), hi - lo)
-            j = lo + min_width_window(work_v[lo:hi], m)
-            return j, j + m
+        cum = work_cum.tolist()
 
         density = config.initial_density
         # the shrink budget scales with how much of the original sample is left
         density_floor = config.min_density_floor * (n / original)
-        j, k = window(0, n, density)
-        lo, hi = first[j], past[k - 1]
+        m = min(math.ceil(density * n), n)
+        j = min_width_window(work_v, m)
+        k = j + m
+        lo, hi = j - behind[j], k - 1 + ahead[k - 1]
         acc = (cum[hi] - cum[lo]) / (hi - lo)
         while True:
-            next_density = density - config.epsilon
-            if next_density < density_floor:
+            density -= config.epsilon
+            if density < density_floor:
                 break
-            j, k = window(lo, hi, next_density)
-            inner_lo, inner_hi = first[j], past[k - 1]
+            m = math.ceil(density * n)
+            if m >= hi - lo:
+                # the window is [lo, hi) itself: same members, nothing emitted
+                continue
+            j = lo + min_width_window(work_v[lo:hi], m)
+            k = j + m
+            inner_lo, inner_hi = j - behind[j], k - 1 + ahead[k - 1]
             inner_acc = (cum[inner_hi] - cum[inner_lo]) / (inner_hi - inner_lo)
             if inner_acc < acc - _TIE_TOLERANCE:
                 out.append(Interval(bound[j], bound[k - 1]))
@@ -119,9 +134,17 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray,
                     out.append(Interval(bound[lo], bound[j - 1]))
                 if k < hi:
                     out.append(Interval(bound[k], bound[hi - 1]))
-            lo, hi, acc, density = inner_lo, inner_hi, inner_acc, next_density
+            lo, hi, acc = inner_lo, inner_hi, inner_acc
         if lo == 0 and hi == n:
             break
         work_v = np.concatenate((work_v[:lo], work_v[hi:]))
-        work_c = np.concatenate((work_c[:lo], work_c[hi:]))
-    return out
+        work_cum = np.concatenate((work_cum[:lo + 1],
+                                   work_cum[hi + 1:] - (cum[hi] - cum[lo])))
+        del bound[lo:hi], behind[lo:hi], ahead[lo:hi]
+    if not out:
+        return [], [], []
+    # count each interval's members on the sorted sample the scan started from
+    lows, highs = zip(*out)
+    lo = np.searchsorted(ranked, lows, side="left")
+    hi = np.searchsorted(ranked, highs, side="right")
+    return out, (hi - lo).tolist(), (prefix[hi] - prefix[lo]).tolist()

@@ -31,7 +31,7 @@ from . import dtree, hpd
 from .dataset import (ConfigError, Dataset, DatasetSummary, FeatureKind,
                       summarize)
 from .hpd import HpdConfig
-from .model import (Filters, Heuristic, Interval, Slice, SliceStats, ValueSet,
+from .model import (Filters, Heuristic, Slice, SliceStats, ValueSet,
                     make_slice)
 from .stats import hypergeom_lower_pvalue
 
@@ -175,25 +175,12 @@ def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
     return merged
 
 
-def _interval_counts(values: np.ndarray, correct: np.ndarray,
-                     intervals: Sequence[Interval]) -> tuple[list, list]:
-    """Records and correct records of ``values`` inside each interval.  NaN
-    lies in no interval, and every bound is a finite data value."""
-    finite = np.isfinite(values)
-    order = np.argsort(values[finite], kind="stable")
-    ranked = values[finite][order]
-    cum = np.concatenate(([0], np.cumsum(correct[finite][order])))
-    lo = np.searchsorted(ranked, [iv.low for iv in intervals], side="left")
-    hi = np.searchsorted(ranked, [iv.high for iv in intervals], side="right")
-    return (hi - lo).tolist(), (cum[hi] - cum[lo]).tolist()
-
-
-def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
+def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: dict,
                       name: str, config: AnalysisConfig, filters: Filters,
                       counts: dict) -> Callable[[], list[Slice]]:
-    """Single-feature analysis of ``name`` over the records in ``mask``:
-    one slice per category value present, or one per HPD interval, each
-    conjoined with the ``base`` predicates.
+    """Single-feature analysis of ``name`` over the records in ``mask``
+    (every record when it is None): one slice per category value present,
+    or one per HPD interval, each conjoined with the ``base`` predicates.
 
     ``mask`` holds the members of ``base``, so a candidate's members are
     the records of ``mask`` its own predicate admits; they are counted
@@ -207,8 +194,9 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
     def task() -> list[Slice]:
         if heuristic not in config.heuristics:
             return []
-        values = feature.values[mask]
-        correct = dataset.correctness[mask]
+        values, correct = feature.values, dataset.correctness
+        if mask is not None:
+            values, correct = values[mask], correct[mask]
         if categorical:
             present = values >= 0
             codes = values[present].astype(np.intp)
@@ -219,8 +207,8 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray, base: dict,
                           for code in found]
             support, hits = support[found].tolist(), hits[found].tolist()
         else:
-            predicates = hpd.hpd_scan(values, correct, config.hpd)
-            support, hits = _interval_counts(values, correct, predicates)
+            predicates, support, hits = hpd.hpd_scan(values, correct,
+                                                     config.hpd)
         kept = []
         for pred, n, k in zip(predicates, support, hits):
             if filters.admits(n, k):
@@ -238,8 +226,7 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig,
     value (labels come from present values only) and the HPD scan over every
     continuous feature.  Each candidate's (support, correct) goes into
     ``counts`` under its predicate key."""
-    everyone = np.ones(dataset.n_records, dtype=bool)
-    tasks = [_conditioned_task(dataset, everyone, {}, name, config, filters,
+    tasks = [_conditioned_task(dataset, None, {}, name, config, filters,
                                counts)
              for name in dataset.feature_names]
     return _run_tasks(tasks, config.workers)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceminer import hpd
 from sliceminer._kernels import min_width_window
 from sliceminer.hpd import HpdConfig, hpd_scan, shortest_interval
 from sliceminer.model import Interval
@@ -58,8 +60,8 @@ class TestHpdScan:
     def test_all_correct_yields_nothing(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 1, 500)
-        out = hpd_scan(values, np.ones(500, dtype=bool), HpdConfig())
-        assert out == []
+        assert hpd_scan(values, np.ones(500, dtype=bool), HpdConfig()) == (
+            [], [], [])
 
     def test_planted_band_recovered(self):
         # seed fixes a draw with ~50 records inside the faulty band
@@ -67,7 +69,7 @@ class TestHpdScan:
         values = rng.uniform(0.0, 1.0, 1000)
         band = (values >= 0.40) & (values <= 0.45)
         correctness = ~band
-        out = hpd_scan(values, correctness, HpdConfig())
+        out, _, _ = hpd_scan(values, correctness, HpdConfig())
         hits = []
         for iv in out:
             n, k = recount(values, correctness, iv)
@@ -81,7 +83,7 @@ class TestHpdScan:
         b1 = (values >= 0.10) & (values <= 0.12)
         b2 = (values >= 0.80) & (values <= 0.82)
         correctness = ~(b1 | b2)
-        out = hpd_scan(values, correctness, HpdConfig())
+        out, _, _ = hpd_scan(values, correctness, HpdConfig())
 
         def has_error(iv):
             n, k = recount(values, correctness, iv)
@@ -98,11 +100,14 @@ class TestHpdScan:
         rng = np.random.default_rng(12)
         values = rng.normal(size=800)
         correctness = rng.random(800) < 0.8
-        out = hpd_scan(values, correctness, HpdConfig())
+        out, support, correct = hpd_scan(values, correctness, HpdConfig())
         assert out
-        for iv in out:  # bounds are actual values, so no interval is empty
+        assert len(support) == len(correct) == len(out)
+        for iv, n, k in zip(out, support, correct):
+            # bounds are actual values, so no interval is empty
             assert iv.low in values and iv.high in values
-            assert recount(values, correctness, iv)[0] >= 1
+            assert recount(values, correctness, iv) == (n, k)
+            assert n >= 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
@@ -117,16 +122,17 @@ class TestHpdScan:
                            7.0, 8.0, 9.0, 10.0])
         correctness = np.zeros(12, dtype=bool)
         correctness[1] = True
-        out = hpd_scan(values, correctness, HpdConfig())
+        out, support, correct = hpd_scan(values, correctness, HpdConfig())
         finite = np.isfinite(values)
-        for iv in out:
+        for iv, n, k in zip(out, support, correct):
             assert iv.low in values[finite] and iv.high in values[finite]
-            assert recount(values[finite], correctness[finite], iv)[0] >= 1
+            assert recount(values[finite], correctness[finite], iv) == (n, k)
+            assert n >= 1
 
     def test_fewer_than_two_values_empty(self):
         out = hpd_scan(np.array([np.nan, 3.0]), np.array([True, False]),
                        HpdConfig())
-        assert out == []
+        assert out == ([], [], [])
 
 
 def reference_shortest_interval(values, proportion):
@@ -156,9 +162,13 @@ def reference_span_accuracy(values, correct, interval):
     return float(correct[lo:hi].mean())
 
 
-def reference_hpd_scan(values, correctness, config):
+def reference_hpd_scan(values, correctness, config, steps=None):
     """The scan in value space: every step re-locates its interval's records
-    by ``searchsorted`` on the bounds and slices them for the accuracy."""
+    by ``searchsorted`` on the bounds and slices them for the accuracy.
+
+    ``steps``, when given, gets ``None`` at each start on a working sample
+    and, for each shrink step, its target count and the records of the
+    interval it shrinks."""
     vals = np.asarray(values, dtype=np.float64)
     corr = np.asarray(correctness, dtype=bool)
     keep = np.isfinite(vals)
@@ -173,12 +183,17 @@ def reference_hpd_scan(values, correctness, config):
     while work_v.size >= 2 and work_v.size >= stop_records:
         density = config.initial_density
         density_floor = config.min_density_floor * (work_v.size / original)
+        if steps is not None:
+            steps.append(None)
         prev = reference_shortest_interval(work_v, density)
         prev_acc = reference_span_accuracy(work_v, work_c, prev)
         while True:
             next_density = density - config.epsilon
             if next_density < density_floor:
                 break
+            if steps is not None:
+                steps.append((math.ceil(next_density * work_v.size),
+                              int(prev.contains(work_v).sum())))
             inner, left_strip, right_strip = reference_shrink_step(
                 work_v, prev, next_density)
             inner_acc = reference_span_accuracy(work_v, work_c, inner)
@@ -220,6 +235,17 @@ def samples(draw):
     return np.array(values, dtype=np.float64), np.array(correct, dtype=bool)
 
 
+def tied_sample(rows, seed):
+    """A normal rounded to one decimal (runs of dozens of equal values,
+    -0.0 among them) with a weak band at [0.5, 1.0] and 2% missing."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(0.0, 2.0, rows), 1)
+    band = (values >= 0.5) & (values <= 1.0)
+    correct = rng.random(rows) < np.where(band, 0.3, 0.85)
+    values[rng.random(rows) < 0.02] = np.nan
+    return values, correct
+
+
 class TestIndexSpaceScan:
     """``hpd_scan`` works on index ranges of the sorted sample; the value-space
     reference above is the scan it replaced."""
@@ -228,8 +254,25 @@ class TestIndexSpaceScan:
     @given(samples(), st.sampled_from(CONFIGS))
     def test_matches_value_space_reference(self, sample, config):
         values, correct = sample
-        assert (bounds(hpd_scan(values, correct, config))
-                == bounds(reference_hpd_scan(values, correct, config)))
+        intervals, support, hits = hpd_scan(values, correct, config)
+        assert bounds(intervals) == bounds(
+            reference_hpd_scan(values, correct, config))
+        # each interval's counts are its members in the whole sample
+        assert [recount(values, correct, iv) for iv in intervals] == list(
+            zip(support, hits))
+
+    @pytest.mark.parametrize("rows", [2000, 5000])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_large_tied_samples_match_reference(self, rows, config):
+        # many restarts over long runs: the carried run offsets and prefix
+        # sums must still locate every interval's members
+        values, correct = tied_sample(rows, seed=rows)
+        intervals, support, hits = hpd_scan(values, correct, config)
+        assert intervals
+        assert bounds(intervals) == bounds(
+            reference_hpd_scan(values, correct, config))
+        assert [recount(values, correct, iv) for iv in intervals] == list(
+            zip(support, hits))
 
     def test_window_end_inside_a_run_takes_the_whole_run(self):
         # the first window is records 1..5, all 1.0, but its interval [1, 1]
@@ -242,9 +285,62 @@ class TestIndexSpaceScan:
         correct = np.array([True, True, False, False, False, False, False,
                             True, True, False])
         config = HpdConfig(0.5, 0.2, 0.05)
-        got = hpd_scan(values, correct, config)
+        got, support, hits = hpd_scan(values, correct, config)
         assert got == [Interval(7.0, 7.0)]
+        assert (support, hits) == ([1], [0])
         assert got == reference_hpd_scan(values, correct, config)
+
+
+class TestWindowSearches:
+    """A shrink step whose target count is at least its interval's records
+    cannot move the interval, so it makes no window search: the scan
+    searches once per start on a working sample and once per step that can
+    move."""
+
+    @staticmethod
+    def searches(values, correct, config):
+        with mock.patch.object(hpd, "min_width_window",
+                               wraps=min_width_window) as spy:
+            hpd_scan(values, correct, config)
+        return spy.call_count
+
+    @staticmethod
+    def expected(values, correct, config):
+        steps = []
+        reference_hpd_scan(values, correct, config, steps)
+        moving = sum(1 for step in steps
+                     if step is None or step[0] < step[1])
+        return moving, len(steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples(), st.sampled_from(CONFIGS))
+    def test_one_search_per_start_and_moving_step(self, sample, config):
+        values, correct = sample
+        calls = self.searches(values, correct, config)
+        moving, _ = self.expected(values, correct, config)
+        assert calls == moving
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_five_rows_skip_the_steps_that_cannot_move(self, config):
+        values = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        correct = np.array([True, False, True, True, False])
+        calls = self.searches(values, correct, config)
+        moving, every = self.expected(values, correct, config)
+        assert calls == moving < every
+
+    def test_long_runs_skip_the_steps_that_cannot_move(self):
+        rng = np.random.default_rng(8)
+        cases = [(rng.choice(np.array(pool), 300), rng.random(300) < 0.7)
+                 for pool in POOLS]
+        cases.append(tied_sample(2000, seed=2000))
+        skipped = 0
+        for config in CONFIGS:
+            for values, correct in cases:
+                calls = self.searches(values, correct, config)
+                moving, every = self.expected(values, correct, config)
+                assert calls == moving
+                skipped += every - moving
+        assert skipped > 0
 
 
 class TestHpdConfig:
