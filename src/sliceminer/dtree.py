@@ -6,6 +6,14 @@ subset with too few usable rows gives a root that is a leaf.  The tree itself
 is never used as a predictor; every non-root node that passes the support
 and performance gates becomes a slice candidate, concretized over the
 values of the rows the node holds.
+
+A run fits one tree per feature subset of each order, so trees that share
+a feature, or a first split, meet the same nodes.  ``fit_tree`` keeps each
+node's best split per feature in a split table that the caller can share
+between trees, keyed by (root key, path, feature name): the tree's
+features with a missing cell fix its usable rows, and the splits on the
+path from the root cut those down to exactly the node's, so the table
+holds results only, no rows.
 """
 
 from __future__ import annotations
@@ -74,28 +82,52 @@ def best_split(column: np.ndarray, target: np.ndarray,
 
 
 def fit_tree(features: Sequence[Feature], correctness: np.ndarray,
-             min_leaf: int, max_depth: int) -> TreeNode:
+             min_leaf: int, max_depth: int, *,
+             splits: Optional[dict] = None) -> TreeNode:
     """Greedy recursive CART over the values of up to three features.
 
     Rows with a missing (NaN) value in any of the features are excluded;
     no split leaves a child with fewer than ``min_leaf`` rows.  Fully
     deterministic: feature order, then smallest threshold, breaks ties.
+
+    ``splits`` is the split table (a fresh one when None): ``best_split``'s
+    result for each (root key, path, feature name) searched.  The root key
+    is the tuple of the features with any missing cell, since those alone
+    decide the usable rows; each ``(feature, threshold, went_left)`` of the
+    path from the root then keeps exactly the node's rows.  A key therefore
+    fixes what its split was searched on, and trees fitted with one table
+    equal trees fitted with a table each, as long as they share
+    ``correctness`` and ``min_leaf``.
     """
     if not 1 <= len(features) <= 3:
         raise ValueError(f"fit_tree takes 1-3 features, got {len(features)}")
+    if splits is None:
+        splits = {}
     corr = np.asarray(correctness, dtype=bool)
     usable = np.ones(corr.shape, dtype=bool)
+    root = []
     for feature in features:
-        usable &= ~np.isnan(feature.values)
+        present = ~np.isnan(feature.values)
+        if not present.all():
+            usable &= present
+            root.append(feature.name)
+    root = tuple(root)
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
+    def build(rows: np.ndarray, depth: int, path: tuple) -> TreeNode:
         target = corr[rows]
         node = TreeNode(rows=rows, n_true=int(target.sum()))
         if depth >= max_depth or node.n_true in (0, rows.size):
             return node
         best = None  # (decrease, feature, threshold)
         for feature in features:
-            found = best_split(feature.values[rows], target, min_leaf)
+            key = (root, path, feature.name)
+            if key in splits:
+                found = splits[key]
+            else:
+                # tasks run in threads may both miss on one key; each
+                # searches the same rows and stores the same result
+                found = splits[key] = best_split(feature.values[rows], target,
+                                                 min_leaf)
             if found is not None and (best is None or found[1] > best[0]):
                 best = (found[1], feature, found[0])
         if best is None:
@@ -104,11 +136,13 @@ def fit_tree(features: Sequence[Feature], correctness: np.ndarray,
         go_left = feature.values[rows] <= threshold
         node.feature = feature.name
         node.threshold = threshold
-        node.left = build(rows[go_left], depth + 1)
-        node.right = build(rows[~go_left], depth + 1)
+        node.left = build(rows[go_left], depth + 1,
+                          path + ((feature.name, threshold, True),))
+        node.right = build(rows[~go_left], depth + 1,
+                           path + ((feature.name, threshold, False),))
         return node
 
-    return build(np.flatnonzero(usable), 0)
+    return build(np.flatnonzero(usable), 0, ())
 
 
 def extract_slices(tree: TreeNode, features: Sequence[Feature],

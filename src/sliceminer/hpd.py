@@ -21,7 +21,8 @@ along with the values, as are the prefix sums of correctness (those past
 the cut less the dropped records' count).  The current interval always
 starts and ends on run bounds, so a shrink step whose target count is at
 least the interval's records keeps it as it is and emits nothing; such a
-step only lowers the density, with no window search.  The emitted
+step only lowers the density, with no window search.  Likewise a first
+window of the whole working sample needs no search.  The emitted
 intervals are counted on the sorted sample the scan started from.
 """
 
@@ -111,7 +112,8 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
         # the shrink budget scales with how much of the original sample is left
         density_floor = config.min_density_floor * (n / original)
         m = min(math.ceil(density * n), n)
-        j = min_width_window(work_v, m)
+        # a window of the whole sample is the only one: no search
+        j = min_width_window(work_v, m) if m < n else 0
         k = j + m
         lo, hi = j - behind[j], k - 1 + ahead[k - 1]
         acc = (cum[hi] - cum[lo]) / (hi - lo)

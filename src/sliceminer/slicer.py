@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
@@ -142,10 +141,9 @@ def membership(dataset: Dataset, sl: Slice) -> np.ndarray:
 _EMPTY_STATS = SliceStats(support=0, correct=0, performance=float("nan"), p_value=1.0)
 
 
-def _counted_stats(dataset: Dataset, n: int, k: int) -> SliceStats:
+def _counted_stats(n: int, k: int, p_value: float) -> SliceStats:
     """Stats of a nonempty slice with ``n`` members, ``k`` of them correct."""
-    p = hypergeom_lower_pvalue(dataset.n_records, dataset.n_correct, n, k)
-    return SliceStats(support=n, correct=k, performance=k / n, p_value=p)
+    return SliceStats(support=n, correct=k, performance=k / n, p_value=p_value)
 
 
 def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
@@ -156,8 +154,9 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     n = int(np.count_nonzero(mask))
     if n == 0:
         return _EMPTY_STATS
-    return _counted_stats(dataset, n,
-                          int(np.count_nonzero(dataset.correctness & mask)))
+    k = int(np.count_nonzero(dataset.correctness & mask))
+    return _counted_stats(n, k, hypergeom_lower_pvalue(
+        dataset.n_records, dataset.n_correct, n, k))
 
 
 def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
@@ -166,6 +165,9 @@ def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         chunks = [task() for task in tasks]
     else:
+        # imported here: a single-threaded run need not load it (nor the
+        # logging and queue modules it pulls in)
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(task) for task in tasks]
             chunks = [f.result() for f in futures]
@@ -233,12 +235,14 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig,
 
 
 def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
-                filters: Filters) -> list[Callable[[], list[Slice]]]:
+                filters: Filters, *, splits: dict
+                ) -> list[Callable[[], list[Slice]]]:
     def make_task(names: tuple[str, ...]) -> Callable[[], list[Slice]]:
         def task() -> list[Slice]:
             features = [dataset.features[name] for name in names]
             tree = dtree.fit_tree(features, dataset.correctness,
-                                  filters.min_support, config.max_depth)
+                                  filters.min_support, config.max_depth,
+                                  splits=splits)
             return dtree.extract_slices(tree, features, filters)
         return task
 
@@ -248,7 +252,8 @@ def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
 
 def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                           config: AnalysisConfig, filters: Filters,
-                          counts: dict) -> list[Slice]:
+                          counts: dict, *, splits: dict | None = None
+                          ) -> list[Slice]:
     """Order-``order`` candidates via conditioning and decision trees.
 
     Conditioning restricts the dataset to each seed's members and reruns
@@ -257,7 +262,9 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
     their (support, correct) go into ``counts``.  Trees are fitted on every
     subset of ``order`` features, so they may also yield lower-order
     slices; their nodes are gated on the rows they hold and their slices
-    carry no counts.
+    carry no counts.  The trees share the split table ``splits`` (a fresh
+    one when None; see ``dtree.fit_tree``), so a run that passes one table
+    to every round searches each node's split once.
     """
     tasks = []
     for seed in seeds:
@@ -267,7 +274,8 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                                        filters, counts)
                      for name in dataset.feature_names if name not in base)
     if Heuristic.DT in config.heuristics:
-        tasks.extend(_tree_tasks(dataset, order, config, filters))
+        tasks.extend(_tree_tasks(dataset, order, config, filters,
+                                 splits={} if splits is None else splits))
     return _run_tasks(tasks, config.workers)
 
 
@@ -294,12 +302,15 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     Each round takes only predicates no earlier candidate has (first
     occurrence wins) and is ranked once; its slices of the round's order
     seed the next round's conditioning.  A conditioned candidate comes with
-    its counts, so only its tail is summed here; a tree candidate is
-    evaluated against the dataset."""
+    its counts, so only its tail is summed here, once per distinct counts
+    in ascending support: the masses of one draw count are then built once
+    per round.  A tree candidate is evaluated against the dataset.  One
+    split table serves every round's trees."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
 
     seen = set()
+    splits = {}
     candidates = []
     reported = []
     for order in range(1, config.max_order + 1):
@@ -309,16 +320,19 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
         else:
             seeds = [sl for sl, _ in ranked if sl.order == order - 1]
             generated = generate_higher_order(dataset, seeds, order, config,
-                                              filters, counts)
-        this_round = []
+                                              filters, counts, splits=splits)
+        fresh = []
         for sl in generated:
             key = sl.predicate_key()
             if key not in seen:
                 seen.add(key)
-                carried = counts.get(key)
-                this_round.append((sl, evaluate_slice(dataset, sl)
-                                   if carried is None
-                                   else _counted_stats(dataset, *carried)))
+                fresh.append((sl, counts.get(key)))
+        tails = {(n, k): hypergeom_lower_pvalue(dataset.n_records,
+                                                dataset.n_correct, n, k)
+                 for n, k in sorted({c for _, c in fresh if c is not None})}
+        this_round = [(sl, evaluate_slice(dataset, sl) if carried is None
+                       else _counted_stats(*carried, tails[carried]))
+                      for sl, carried in fresh]
         candidates.extend((sl, stats) for sl, stats in this_round
                           if filters.admits(stats.support, stats.correct))
         ranked = filter_and_rank(this_round, filters)

@@ -213,8 +213,10 @@ class TestStdinAndEnv:
 
 class TestImportFootprint:
     def test_no_scipy_or_numba_at_runtime(self):
+        # nor concurrent.futures (and the logging and queue modules it
+        # loads), which only a run with --workers above 1 needs
         code = ("import sys, sliceminer, sliceminer.cli; "
-                "print(sorted({'scipy', 'numba'} & "
+                "print(sorted({'scipy', 'numba', 'concurrent'} & "
                 "{name.partition('.')[0] for name in sys.modules}))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceminer.dataset import Dataset, Feature, FeatureKind
 from sliceminer.dtree import best_split, extract_slices, fit_tree, gini
@@ -358,3 +362,91 @@ class TestExtractSlices:
                           n_correct=int(correct.sum()), rejected_rows=())
         stats = evaluate_slice(dataset, sl)
         assert (stats.support, stats.correct) == (20, 0)
+
+
+def node_list(node):
+    """Preorder (rows, n_true, feature, threshold) of every node."""
+    out = [(node.rows.tolist(), node.n_true, node.feature, node.threshold)]
+    if not node.is_leaf:
+        out += node_list(node.left) + node_list(node.right)
+    return out
+
+
+def reference_node_list(features, correct, min_leaf, max_depth):
+    """``node_list`` of the greedy CART, searching every node afresh."""
+    usable = np.all([~np.isnan(f.values) for f in features], axis=0)
+
+    def build(rows, depth):
+        n_true = int(correct[rows].sum())
+        best = None
+        if depth < max_depth and 0 < n_true < rows.size:
+            for f in features:
+                found = best_split(f.values[rows], correct[rows], min_leaf)
+                if found is not None and (best is None or found[1] > best[0]):
+                    best = (found[1], f, found[0])
+        if best is None:
+            return [(rows.tolist(), n_true, None, None)]
+        _, f, threshold = best
+        left = f.values[rows] <= threshold
+        return ([(rows.tolist(), n_true, f.name, threshold)]
+                + build(rows[left], depth + 1) + build(rows[~left], depth + 1))
+
+    return build(np.flatnonzero(usable), 0)
+
+
+# few distinct cells, so ties and equal first splits are common
+CELLS = {FeatureKind.CONTINUOUS: [-1.0, -0.0, 0.0, 0.5, 2.0, np.nan],
+         FeatureKind.CATEGORICAL: [0.0, 1.0, 2.0, np.nan]}
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(6, 40))
+    features = []
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(list(FeatureKind)))
+        pool = CELLS[kind]
+        if draw(st.booleans()):  # some columns have no missing cell
+            pool = [cell for cell in pool if not np.isnan(cell)]
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        features.append(continuous(f"f{j}", values)
+                        if kind is FeatureKind.CONTINUOUS
+                        else categorical(f"f{j}", values, ("a", "b", "c")))
+    correct = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return features, correct
+
+
+class TestSplitTable:
+    """Trees that share one split table equal trees fitted with a table
+    each: a (root key, path, feature) key fixes the rows a split is
+    searched on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), table=small_tables(), min_leaf=st.integers(1, 4),
+           max_depth=st.integers(1, 4))
+    def test_shared_table_gives_the_same_trees(self, data, table, min_leaf,
+                                               max_depth):
+        features, correct = table
+        subsets = [list(c) for size in (1, 2, 3)
+                   for c in combinations(features, size)]
+        subsets = data.draw(st.permutations(subsets))  # any fitting order
+        splits = {}
+        for subset in subsets:
+            shared = fit_tree(subset, correct, min_leaf, max_depth,
+                              splits=splits)
+            fresh = fit_tree(subset, correct, min_leaf, max_depth)
+            assert node_list(shared) == node_list(fresh)
+            assert node_list(shared) == reference_node_list(
+                subset, correct, min_leaf, max_depth)
+
+    def test_table_holds_one_result_per_searched_key(self):
+        x = continuous("x", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        y = continuous("y", [1.0, np.nan, 1.0, 0.0, 0.0, 1.0])
+        correct = np.array([True, True, False, False, True, True])
+        splits = {}
+        fit_tree([x], correct, 1, 1, splits=splits)
+        fit_tree([x, y], correct, 1, 1, splits=splits)
+        # y has a missing cell, so the tree over (x, y) roots elsewhere
+        assert set(splits) == {((), (), "x"), (("y",), (), "x"),
+                               (("y",), (), "y")}
+        assert splits[(), (), "x"] == best_split(x.values, correct, 1)

@@ -166,9 +166,9 @@ def reference_hpd_scan(values, correctness, config, steps=None):
     """The scan in value space: every step re-locates its interval's records
     by ``searchsorted`` on the bounds and slices them for the accuracy.
 
-    ``steps``, when given, gets ``None`` at each start on a working sample
-    and, for each shrink step, its target count and the records of the
-    interval it shrinks."""
+    ``steps``, when given, gets the target count and the records of the
+    interval to shrink for each window: the first window of each working
+    sample (whose interval is the whole sample) and each shrink step."""
     vals = np.asarray(values, dtype=np.float64)
     corr = np.asarray(correctness, dtype=bool)
     keep = np.isfinite(vals)
@@ -184,7 +184,7 @@ def reference_hpd_scan(values, correctness, config, steps=None):
         density = config.initial_density
         density_floor = config.min_density_floor * (work_v.size / original)
         if steps is not None:
-            steps.append(None)
+            steps.append((math.ceil(density * work_v.size), work_v.size))
         prev = reference_shortest_interval(work_v, density)
         prev_acc = reference_span_accuracy(work_v, work_c, prev)
         while True:
@@ -292,10 +292,10 @@ class TestIndexSpaceScan:
 
 
 class TestWindowSearches:
-    """A shrink step whose target count is at least its interval's records
-    cannot move the interval, so it makes no window search: the scan
-    searches once per start on a working sample and once per step that can
-    move."""
+    """A window whose target count is at least its interval's records cannot
+    move the interval, so it makes no window search: the scan searches once
+    per start on a working sample smaller than it, and once per shrink step
+    that can move."""
 
     @staticmethod
     def searches(values, correct, config):
@@ -308,8 +308,7 @@ class TestWindowSearches:
     def expected(values, correct, config):
         steps = []
         reference_hpd_scan(values, correct, config, steps)
-        moving = sum(1 for step in steps
-                     if step is None or step[0] < step[1])
+        moving = sum(1 for target, records in steps if target < records)
         return moving, len(steps)
 
     @settings(max_examples=200, deadline=None)
@@ -327,6 +326,20 @@ class TestWindowSearches:
         calls = self.searches(values, correct, config)
         moving, every = self.expected(values, correct, config)
         assert calls == moving < every
+
+    @pytest.mark.parametrize("rows", range(2, 10))
+    def test_small_sample_makes_no_search_for_its_first_window(self, rows):
+        # ceil(0.9 * rows) == rows below ten rows: the first window is the
+        # whole sample, so no search can move it
+        values = np.arange(float(rows))
+        correct = np.arange(rows) % 3 > 0
+        with mock.patch.object(hpd, "min_width_window",
+                               wraps=min_width_window) as spy:
+            hpd_scan(values, correct, HpdConfig())
+        assert all(call.args[1] < call.args[0].size
+                   for call in spy.call_args_list)
+        moving, every = self.expected(values, correct, HpdConfig())
+        assert spy.call_count == moving < every
 
     def test_long_runs_skip_the_steps_that_cannot_move(self):
         rng = np.random.default_rng(8)

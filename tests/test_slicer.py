@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceminer import _kernels
+from sliceminer import _kernels, dtree
 from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
                                 summarize)
 from sliceminer.hpd import HpdConfig
@@ -444,7 +444,7 @@ class TestRunAnalysis:
             lambda *args: carried(one_way(*args), args[-1]))
         monkeypatch.setattr(
             "sliceminer.slicer.generate_higher_order",
-            lambda *args: carried(higher(*args), args[-1]))
+            lambda *args, **kw: carried(higher(*args, **kw), args[-1]))
         monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
         monkeypatch.setattr(_kernels, "hypergeom_lower_tail", counting_tail)
         hypergeom_lower_pvalue.cache_clear()
@@ -479,7 +479,7 @@ class TestRunAnalysis:
         monkeypatch.setattr("sliceminer.slicer.generate_one_way",
                             lambda *args: recording(one_way(*args)))
         monkeypatch.setattr("sliceminer.slicer.generate_higher_order",
-                            lambda *args: recording(higher(*args)))
+                            lambda *args, **kw: recording(higher(*args, **kw)))
         run_analysis(ds, AnalysisConfig(max_order=3))
         routes = {sl.heuristic for sl in generated}
         assert {Heuristic.CATEGORICAL, Heuristic.HPD, Heuristic.DT} <= routes
@@ -624,6 +624,41 @@ def holey_dataset(tmp_path, seed, n=240):
     return dataset_from_columns(
         tmp_path, {"cat1": cat1.tolist(), "cat2": cat2.tolist(), "x": cells},
         correct.tolist())
+
+
+class TestSplitTable:
+    def test_each_node_split_searched_once_per_run(self, monkeypatch):
+        # every cell value belongs to one (feature, row), so a searched
+        # column names its feature and its node's rows.  The table is keyed
+        # by path, which fixes the rows; two paths could still reach the
+        # same rows (a split that cuts nothing off a deeper node), but not
+        # on this table, whose nodes hold at least 10 rows.
+        rng = np.random.default_rng(4)
+        n = 200
+        features = {}
+        for j in range(4):
+            values = rng.permutation(n) + j * n + 0.5
+            features[f"f{j}"] = Feature(f"f{j}", FeatureKind.CONTINUOUS,
+                                        values, ())
+        weak = (features["f0"].values < 50) | (features["f1"].values > 350)
+        correct = rng.random(n) < np.where(weak, 0.5, 0.9)
+        dataset = Dataset(features=features, correctness=correct, n_records=n,
+                          n_correct=int(correct.sum()), rejected_rows=())
+        searched = Counter()
+        best_split = dtree.best_split
+
+        def counting_split(column, target, min_leaf):
+            searched[column.tobytes()] += 1
+            return best_split(column, target, min_leaf)
+
+        monkeypatch.setattr(dtree, "best_split", counting_split)
+        result = run_analysis(dataset, AnalysisConfig(
+            heuristics=frozenset({Heuristic.DT}), max_order=3,
+            support_floor=10))
+        assert result.candidate_counts.get(("dt", 3))
+        # the 10 trees over 2 and 3 of the features search each node once
+        assert len(searched) > 40
+        assert max(searched.values()) == 1
 
 
 class TestMatchesEvaluatingEveryKey:
