@@ -17,7 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import _kernels, oracle, stats
+from . import _kernels, stats
 from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
                       load_table)
 from .dtree import gini
@@ -242,6 +242,9 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
 
 def self_check(verbose: bool = True) -> int:
     """Field verification of the numerics against built-in worked examples."""
+    # imported here: only the self-check needs the exact oracle
+    from . import oracle
+
     checks: list[tuple[str, bool]] = []
 
     def add(name: str, ok: bool) -> None:

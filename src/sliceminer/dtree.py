@@ -167,7 +167,11 @@ def extract_slices(tree: TreeNode, features: Sequence[Feature],
                 continue
             member_vals = feature.values[node.rows]
             if feature.kind is FeatureKind.CATEGORICAL:
-                codes = tuple(int(c) for c in np.unique(member_vals))
+                # a node's rows miss no tree feature, so every value is a
+                # code; bincount lists them ascending, and np.unique would
+                # import numpy.ma (numpy 2.x)
+                codes = tuple(np.flatnonzero(
+                    np.bincount(member_vals.astype(np.intp))).tolist())
                 predicates[feature.name] = ValueSet(
                     codes=codes, labels=tuple(feature.labels[c] for c in codes))
             else:

@@ -1,4 +1,18 @@
-"""Data model for slices: per-feature predicates, conjunctions, filters."""
+"""Data model for slices: per-feature predicates, conjunctions, filters.
+
+The two records the pipeline builds once per candidate, ``Slice`` and
+``SliceStats``, are tuples: immutable, hashable, unpackable, and equal to a
+plain tuple holding the same fields.  Building one by position or keyword
+checks its invariants in ``__new__`` and raises ``ValueError``: a slice's
+predicates are sorted by unique feature name, its order is their number
+and lies in 1..3, and a slice's correct count never exceeds its support.
+``_make`` (and ``_replace``, which goes through it) skips the checks, so
+only builders whose inputs satisfy them by construction use it:
+``make_slice`` builds from a dict, whose names are unique and which it
+sorts, and checks the order bound itself; ``slicer._conditioned_task``
+inserts a name the seed lacks into the seed's sorted predicates, and
+checks the order bound once per task.
+"""
 
 from __future__ import annotations
 
@@ -61,26 +75,30 @@ class ValueSet:
 FeaturePredicate = Union[Interval, ValueSet]
 
 
-@dataclass(frozen=True)
-class Slice:
+class _SliceFields(NamedTuple):
+    predicates: tuple[tuple[str, FeaturePredicate], ...]
+    heuristic: Heuristic
+    order: int
+
+
+class Slice(_SliceFields):
     """Conjunction of per-feature predicates over 1-3 distinct features.
 
     A record is a member iff it satisfies every predicate and has no missing
     value in any of the slice's features.
     """
 
-    predicates: tuple[tuple[str, FeaturePredicate], ...]
-    heuristic: Heuristic
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [name for name, _ in self.predicates]
+    def __new__(cls, predicates, heuristic, order):
+        names = [name for name, _ in predicates]
         if sorted(names) != names or len(set(names)) != len(names):
             raise ValueError("predicates must be sorted by unique feature name")
-        if self.order != len(names):
-            raise ValueError(f"order {self.order} != {len(names)} features")
-        if not 1 <= self.order <= 3:
-            raise ValueError(f"order must be 1..3, got {self.order}")
+        if order != len(names):
+            raise ValueError(f"order {order} != {len(names)} features")
+        if not 1 <= order <= 3:
+            raise ValueError(f"order must be 1..3, got {order}")
+        return tuple.__new__(cls, (predicates, heuristic, order))
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -97,22 +115,30 @@ class Slice:
 
 def make_slice(predicates: dict[str, FeaturePredicate],
                heuristic: Heuristic) -> Slice:
+    # a dict's names are unique and sorted() orders them, so only the
+    # order bound is left to check
     items = tuple(sorted(predicates.items()))
-    return Slice(predicates=items, heuristic=heuristic, order=len(items))
+    if not 1 <= len(items) <= 3:
+        raise ValueError(f"order must be 1..3, got {len(items)}")
+    return Slice._make((items, heuristic, len(items)))
 
 
-@dataclass(frozen=True)
-class SliceStats:
-    """Exact counts for a slice plus its hypergeometric significance."""
-
+class _SliceStatsFields(NamedTuple):
     support: int
     correct: int
     performance: float
     p_value: float
 
-    def __post_init__(self):
-        if self.correct > self.support:
+
+class SliceStats(_SliceStatsFields):
+    """Exact counts for a slice plus its hypergeometric significance."""
+
+    __slots__ = ()
+
+    def __new__(cls, support, correct, performance, p_value):
+        if correct > support:
             raise ValueError("correct count exceeds support")
+        return tuple.__new__(cls, (support, correct, performance, p_value))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,7 @@ from . import dtree, hpd
 from .dataset import (ConfigError, Dataset, DatasetSummary, FeatureKind,
                       summarize)
 from .hpd import HpdConfig
-from .model import (Filters, Heuristic, Slice, SliceStats, ValueSet,
-                    make_slice)
+from .model import Filters, Heuristic, Slice, SliceStats, ValueSet
 from .stats import hypergeom_lower_pvalue
 
 __all__ = [
@@ -177,12 +176,20 @@ def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
     return merged
 
 
-def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: dict,
+def _split_around(base: tuple, name: str) -> tuple[tuple, tuple]:
+    """Cut the sorted predicates ``base`` where ``name`` sorts in, so that
+    ``before + ((name, pred),) + after`` is sorted by feature name."""
+    at = sum(1 for other, _ in base if other < name)
+    return base[:at], base[at:]
+
+
+def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: tuple,
                       name: str, config: AnalysisConfig, filters: Filters,
                       counts: dict) -> Callable[[], list[Slice]]:
     """Single-feature analysis of ``name`` over the records in ``mask``
     (every record when it is None): one slice per category value present,
-    or one per HPD interval, each conjoined with the ``base`` predicates.
+    or one per HPD interval, each conjoined with the ``base`` predicates
+    (a slice's sorted predicates, none on ``name``).
 
     ``mask`` holds the members of ``base``, so a candidate's members are
     the records of ``mask`` its own predicate admits; they are counted
@@ -192,6 +199,12 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: dict,
     feature = dataset.features[name]
     categorical = feature.kind is FeatureKind.CATEGORICAL
     heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
+    order = len(base) + 1
+    if order > 3:
+        raise ValueError(f"order must be 1..3, got {order}")
+    # every candidate is base plus one predicate on a name base lacks, so
+    # its predicates are sorted and unique as built: no Slice check needed
+    before, after = _split_around(base, name)
 
     def task() -> list[Slice]:
         if heuristic not in config.heuristics:
@@ -214,9 +227,9 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: dict,
         kept = []
         for pred, n, k in zip(predicates, support, hits):
             if filters.admits(n, k):
-                sl = make_slice({**base, name: pred}, heuristic)
-                counts[sl.predicate_key()] = n, k
-                kept.append(sl)
+                key = before + ((name, pred),) + after
+                counts[key] = n, k
+                kept.append(Slice._make((key, heuristic, order)))
         return kept
     return task
 
@@ -228,7 +241,7 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig,
     value (labels come from present values only) and the HPD scan over every
     continuous feature.  Each candidate's (support, correct) goes into
     ``counts`` under its predicate key."""
-    tasks = [_conditioned_task(dataset, None, {}, name, config, filters,
+    tasks = [_conditioned_task(dataset, None, (), name, config, filters,
                                counts)
              for name in dataset.feature_names]
     return _run_tasks(tasks, config.workers)
@@ -269,10 +282,10 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
     tasks = []
     for seed in seeds:
         seed_mask = membership(dataset, seed)
-        base = dict(seed.predicates)
-        tasks.extend(_conditioned_task(dataset, seed_mask, base, name, config,
-                                       filters, counts)
-                     for name in dataset.feature_names if name not in base)
+        taken = seed.features
+        tasks.extend(_conditioned_task(dataset, seed_mask, seed.predicates,
+                                       name, config, filters, counts)
+                     for name in dataset.feature_names if name not in taken)
     if Heuristic.DT in config.heuristics:
         tasks.extend(_tree_tasks(dataset, order, config, filters,
                                  splits={} if splits is None else splits))
@@ -293,6 +306,14 @@ def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
             and stats.p_value < filters.p_value_max]
     kept.sort(key=_rank)
     return kept
+
+
+def _group_counts(pairs: Sequence[tuple[Slice, SliceStats]]) -> dict:
+    """Slices per (heuristic name, order).  Counted by the enum member, so
+    ``.value`` is read once per group, not once per slice."""
+    groups = Counter((sl.heuristic, sl.order) for sl, _ in pairs)
+    return {(heuristic.value, order): n
+            for (heuristic, order), n in groups.items()}
 
 
 def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
@@ -340,12 +361,8 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     # stable: ties keep round order, as one ranking of every round would
     reported.sort(key=_rank)
 
-    candidate_counts = dict(Counter((sl.heuristic.value, sl.order)
-                                    for sl, _ in candidates))
-    reported_counts = dict(Counter((sl.heuristic.value, sl.order)
-                                   for sl, _ in reported))
     return AnalysisResult(summary=summary, filters=filters,
                           reported=tuple(reported),
-                          candidate_counts=candidate_counts,
-                          reported_counts=reported_counts,
+                          candidate_counts=_group_counts(candidates),
+                          reported_counts=_group_counts(reported),
                           config=config)

@@ -223,6 +223,27 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_default_run_loads_neither_numpy_ma_nor_oracle(self, mixed_csv):
+        # np.unique loads numpy.ma on numpy 2.x; the exact oracle serves
+        # only --self-check.  The table has a categorical feature, so trees
+        # concretize value sets.
+        code = (
+            "import json, sys\n"
+            "import sliceminer.cli as cli\n"
+            "from sliceminer import AnalysisConfig, IngestConfig\n"
+            "watched = {'numpy.ma', 'sliceminer.oracle'}\n"
+            "imported = sorted(watched & set(sys.modules))\n"
+            "ds = cli.load_table(sys.argv[1], IngestConfig('label', 'pred'))\n"
+            "result = cli.run_analysis(ds, AnalysisConfig())\n"
+            "print(json.dumps([imported, sorted(watched & set(sys.modules)),\n"
+            "                  sorted(result.candidate_counts)]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, mixed_csv],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        imported, after_run, groups = json.loads(proc.stdout)
+        assert imported == [] and after_run == []
+        assert ["dt", 2] in groups
+
 
 class TestHelpAndSelfCheck:
     def test_help_lists_defaults(self, capsys):

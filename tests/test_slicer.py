@@ -15,13 +15,13 @@ from sliceminer import _kernels, dtree
 from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
                                 summarize)
 from sliceminer.hpd import HpdConfig
-from sliceminer.model import (Filters, Heuristic, Interval, SliceStats, ValueSet,
-                              make_slice)
+from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
+                              ValueSet, make_slice)
 from sliceminer.oracle import exhaustive_categorical_slices, slice_key_set
-from sliceminer.slicer import (AnalysisConfig, evaluate_slice, filter_and_rank,
-                               generate_higher_order, generate_one_way,
-                               membership, min_support, perf_threshold,
-                               resolve_filters, run_analysis)
+from sliceminer.slicer import (AnalysisConfig, _split_around, evaluate_slice,
+                               filter_and_rank, generate_higher_order,
+                               generate_one_way, membership, min_support,
+                               perf_threshold, resolve_filters, run_analysis)
 
 # admits every candidate with two or more members
 EVERYTHING = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
@@ -187,6 +187,28 @@ class TestGenerateHigherOrder:
         out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters, {})
         assert out == []
 
+    def test_seed_of_order_three_rejected(self, tmp_path):
+        ds = dataset_from_columns(
+            tmp_path, {name: [0, 1] * 30 for name in "abcd"}, [True] * 60)
+        seed = make_slice({name: ValueSet((0,), ("0",)) for name in "abc"},
+                          Heuristic.CATEGORICAL)
+        with pytest.raises(ValueError, match=r"order must be 1\.\.3, got 4"):
+            generate_higher_order(ds, [seed], 4, AnalysisConfig(),
+                                  EVERYTHING, {})
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3,
+                          unique=True),
+           high=st.floats(0.0, 1.0))
+    def test_conditioned_insert_keeps_names_sorted(self, names, high):
+        # the last name is the new one, the others form the seed
+        *taken, name = names
+        base = tuple(sorted((other, Interval(0.0, 1.0)) for other in taken))
+        pred = Interval(0.0, high)
+        before, after = _split_around(base, name)
+        assert (before + ((name, pred),) + after
+                == tuple(sorted({**dict(base), name: pred}.items())))
+
     def test_conditioning_produces_conjunction(self, tmp_path):
         # inside group "g", low values of x are always wrong
         rng = np.random.default_rng(7)
@@ -315,6 +337,16 @@ class TestRunAnalysis:
             assert n >= result.filters.min_support
             assert k / n <= result.filters.perf_threshold
             assert stats.p_value < result.filters.p_value_max
+
+    def test_reported_records_pass_the_checks(self, tmp_path):
+        # slices built unchecked must still satisfy what the checks enforce
+        ds = random_dataset(tmp_path, 99)
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
+        assert {(sl.heuristic, sl.order) for sl, _ in result.reported} >= {
+            (Heuristic.CATEGORICAL, 3), (Heuristic.HPD, 2), (Heuristic.DT, 2)}
+        for sl, stats in result.reported:
+            assert Slice(*sl) == sl
+            assert SliceStats(**stats._asdict()) == stats
 
     def test_counts_match_reported_groups(self, tmp_path):
         ds = random_dataset(tmp_path, 7)
