@@ -5,6 +5,8 @@ variables prefixed SLICEMINER_ (e.g. SLICEMINER_PVALUE=0.01 changes the
 default of --pvalue).  Exit codes: 0 success (zero slices found is success),
 1 usage or configuration error, 2 data error.  Configuration is checked
 before any input is read, so a bad knob exits 1 even when the input is bad.
+An input that cannot be read (a directory, no permission, not UTF-8) is a
+data error; a --out path that cannot be written is a configuration error.
 """
 
 from __future__ import annotations
@@ -188,8 +190,12 @@ def _run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
     })
     text = render(report, format)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out}: "
+                              f"{exc.strerror or exc}") from None
     else:  # UTF-8 whatever the locale, the same bytes as --out
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
@@ -211,8 +217,6 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
     if overlap:
         raise ConfigError(f"columns marked both categorical and continuous: "
                           f"{', '.join(sorted(overlap))}")
-    if args.categorical_threshold < 0:
-        raise ConfigError("categorical threshold must be >= 0")
     overrides = {name: FeatureKind.CATEGORICAL for name in categorical}
     overrides.update({name: FeatureKind.CONTINUOUS for name in continuous})
     ingest = IngestConfig(

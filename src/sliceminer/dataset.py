@@ -58,6 +58,13 @@ class IngestConfig:
     overrides: Mapping[str, FeatureKind] = field(default_factory=dict)
     all_numeric: bool = False
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ConfigError(f"delimiter must be one character other than a "
+                              f"quote or line break, got {self.delimiter!r}")
+        if self.categorical_threshold < 0:
+            raise ConfigError("categorical threshold must be >= 0")
+
 
 @dataclass(frozen=True)
 class Feature:
@@ -159,7 +166,9 @@ def _build_feature(name: str, tokens: list[str], missing: list[bool],
 def load_table(path: str, config: IngestConfig) -> Dataset:
     """Parse a delimited UTF-8 file (header row required) into a Dataset.
 
-    ``path`` may be ``-`` for stdin; a leading byte order mark is dropped.
+    ``path`` may be ``-`` for stdin, also read as UTF-8 whatever the
+    locale; a leading byte order mark is dropped.  Input that cannot be
+    read or is not UTF-8 raises ``DataError``.
     Rows whose ground-truth or prediction cell is missing are rejected;
     their file line numbers are kept on the returned dataset.  Targets
     compare as numbers when every present target token parses as one, and
@@ -169,14 +178,19 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     """
     if config.ground_truth == config.prediction:
         raise ConfigError("ground-truth and prediction must be distinct columns")
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
-        except FileNotFoundError:
-            raise DataError(f"input file not found: {path}") from None
+    except FileNotFoundError:
+        raise DataError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: "
+                        f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input {path} is not UTF-8: {exc}") from None
     text = text.removeprefix("\ufeff")  # UTF-8 byte order mark
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
     rows = list(reader)

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import best_split_scan
 from .dataset import Feature, FeatureKind
 from .model import Filters, Heuristic, Interval, Slice, ValueSet, make_slice
 
@@ -73,12 +72,34 @@ def best_split(column: np.ndarray, target: np.ndarray,
     """
     col = np.asarray(column, dtype=np.float64)
     tgt = np.asarray(target, dtype=bool)
-    order = np.argsort(col, kind="stable")
-    sorted_col = col[order]
-    pos, decrease = best_split_scan(sorted_col, tgt[order], min_leaf)
-    if pos < 0:
+    n = col.size
+    if n < 2:
         return None
-    return float(sorted_col[pos]), float(decrease)
+    total_true = int(tgt.sum())
+    p_true = total_true / n
+    parent = 1.0 - p_true * p_true - (1.0 - p_true) * (1.0 - p_true)
+    if parent <= 0.0:
+        return None
+    order = np.argsort(col, kind="stable")
+    values = col[order]
+    # a boundary after position i sends values[:i + 1] left
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    legal = ((values[:-1] != values[1:])
+             & (n_left >= min_leaf) & (n_right >= min_leaf))
+    if not legal.any():
+        return None
+    left_true = np.cumsum(tgt[order][:-1], dtype=np.float64)
+    left_false = n_left - left_true
+    right_true = total_true - left_true
+    right_false = n_right - right_true
+    gini_left = 1.0 - (left_true / n_left) ** 2 - (left_false / n_left) ** 2
+    gini_right = (1.0 - (right_true / n_right) ** 2
+                  - (right_false / n_right) ** 2)
+    decrease = parent - (n_left * gini_left + n_right * gini_right) / n
+    decrease[~legal] = -np.inf
+    pos = int(np.argmax(decrease))  # first maximum: smallest threshold wins
+    return float(values[pos]), float(decrease[pos])
 
 
 def fit_tree(features: Sequence[Feature], correctness: np.ndarray,

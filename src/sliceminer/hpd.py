@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import min_width_window
 from .model import Interval
 
-__all__ = ["HpdConfig", "shortest_interval", "hpd_scan"]
+__all__ = ["HpdConfig", "min_width_window", "shortest_interval", "hpd_scan"]
 
 # accuracy deltas at or below this are treated as ties (neither branch emits)
 _TIE_TOLERANCE = 1e-12
@@ -56,6 +55,15 @@ class HpdConfig:
         if not 0.0 < self.epsilon < self.initial_density:
             raise ValueError(
                 f"need 0 < epsilon < initial_density, got {self.epsilon}")
+
+
+def min_width_window(values: np.ndarray, m: int) -> int:
+    """Start index of the leftmost narrowest window of m consecutive values.
+
+    ``values`` must be sorted ascending and hold at least ``m`` entries.
+    """
+    widths = values[m - 1:] - values[: values.size - m + 1]
+    return int(widths.argmin())  # first minimum: leftmost tie wins
 
 
 def shortest_interval(sorted_values: np.ndarray, proportion: float) -> Interval:

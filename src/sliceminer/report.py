@@ -22,8 +22,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dataset import Dataset, FeatureKind
-from .model import FeaturePredicate, Interval, Slice, SliceStats, ValueSet
-from .slicer import AnalysisResult
+from .model import (FeaturePredicate, Heuristic, Interval, Slice, SliceStats,
+                    ValueSet)
+from .slicer import MAX_DEPTH, AnalysisResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -123,12 +124,16 @@ def parse_predicate(text: str, kind: FeatureKind,
 def summarize_supports(slices: Sequence[tuple[Slice, SliceStats]]
                        ) -> dict[tuple[str, int], dict]:
     """Count/min/avg/max/std of supports per (heuristic, order) group, as
-    the report's ``support_summary`` entries."""
-    groups: dict[tuple[str, int], list[int]] = {}
+    the report's ``support_summary`` entries, sorted by heuristic name and
+    order.  Grouped by the enum member, so ``.value`` is read once per
+    group, not once per slice."""
+    groups: dict[tuple[Heuristic, int], list[int]] = {}
     for sl, stats in slices:
-        groups.setdefault((sl.heuristic.value, sl.order), []).append(stats.support)
+        groups.setdefault((sl.heuristic, sl.order), []).append(stats.support)
     out = {}
-    for (heuristic, order), supports in sorted(groups.items()):
+    for (heuristic, order), supports in sorted(
+            ((h.value, order), supports)
+            for (h, order), supports in groups.items()):
         count = len(supports)
         avg = sum(supports) / count
         std = math.sqrt(sum((s - avg) ** 2 for s in supports) / count)
@@ -158,7 +163,7 @@ def build_report(result: AnalysisResult, dataset: Dataset,
         "epsilon": cfg.hpd.epsilon,
         "initial_density": cfg.hpd.initial_density,
         "min_density_floor": cfg.hpd.min_density_floor,
-        "max_depth": cfg.max_depth,
+        "max_depth": MAX_DEPTH,
         "ci_level": cfg.ci_level,
     }
     if extra_config:
@@ -167,6 +172,7 @@ def build_report(result: AnalysisResult, dataset: Dataset,
     slices = []
     referenced: dict[str, dict] = {}
     rendered: dict[FeaturePredicate, str] = {}  # slices share predicates
+    heuristic_names = {h: h.value for h in Heuristic}
     for sl, stats in result.reported:
         predicates = {}
         for name, pred in sl.predicates:
@@ -176,7 +182,8 @@ def build_report(result: AnalysisResult, dataset: Dataset,
             predicates[name] = text
         features = list(predicates)
         slices.append({"features": features, "predicates": predicates,
-                       "heuristic": sl.heuristic.value, "order": sl.order,
+                       "heuristic": heuristic_names[sl.heuristic],
+                       "order": sl.order,
                        "support": stats.support, "correct": stats.correct,
                        "performance": stats.performance,
                        "p_value": stats.p_value})

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 ALL_HEURISTICS = frozenset({Heuristic.CATEGORICAL, Heuristic.HPD, Heuristic.DT})
+MAX_DEPTH = 5  # decision trees split no node at this depth
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class AnalysisConfig:
     heuristics: frozenset = ALL_HEURISTICS
     max_order: int = 2
     hpd: HpdConfig = field(default_factory=HpdConfig)
-    max_depth: int = 5
     p_value_max: float = 0.05
     gap: float = 0.04
     support_fraction: float = 0.05
@@ -77,8 +77,6 @@ class AnalysisConfig:
             raise ValueError(f"support_floor must be >= 2, got {self.support_floor}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = set(self.heuristics) - ALL_HEURISTICS
@@ -254,7 +252,7 @@ def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
         def task() -> list[Slice]:
             features = [dataset.features[name] for name in names]
             tree = dtree.fit_tree(features, dataset.correctness,
-                                  filters.min_support, config.max_depth,
+                                  filters.min_support, MAX_DEPTH,
                                   splits=splits)
             return dtree.extract_slices(tree, features, filters)
         return task

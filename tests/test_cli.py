@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -78,6 +79,13 @@ class TestExitCodes:
                      "--pvalue", "1.5"])
         assert code == 1
         assert "p_value_max" in capsys.readouterr().err
+
+
+    def test_negative_categorical_threshold_checked_before_input_is_read(
+            self, tmp_path, capsys):
+        assert main([str(tmp_path / "ghost.csv"), "-g", "label", "-p", "pred",
+                     "--categorical-threshold", "-1"]) == 1
+        assert "categorical threshold must be >= 0" in capsys.readouterr().err
 
 
 class TestCollector:
@@ -209,6 +217,76 @@ class TestStdinAndEnv:
         assert main([str(tmp_path / "ghost.csv"), "-g", "label",
                      "-p", "pred"]) == 1
         assert "SLICEMINER_FORMAT" in capsys.readouterr().err
+
+
+def run_child(args, stdout=subprocess.PIPE, **env):
+    """The CLI in a child interpreter, so an uncaught exception shows as a
+    traceback on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "sliceminer.cli", *args, "-g", "label",
+         "-p", "pred"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=child_env(**env))
+
+
+def assert_clean_exit(proc, code, *named):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for text in named:
+        assert text in proc.stderr
+
+
+class TestDelimiter:
+    @pytest.mark.parametrize("delimiter", ["", ",,", '"', "\n"])
+    def test_flag_is_usage_error(self, mixed_csv, delimiter):
+        proc = run_child([mixed_csv, "--delimiter", delimiter])
+        assert_clean_exit(proc, 1, "delimiter", repr(delimiter))
+
+    def test_env_var_is_usage_error(self, mixed_csv):
+        proc = run_child([mixed_csv], SLICEMINER_DELIMITER=",,")
+        assert_clean_exit(proc, 1, "delimiter", "',,'")
+
+    def test_checked_before_input_is_read(self, tmp_path):
+        proc = run_child([str(tmp_path / "ghost.csv"), "--delimiter", ",,"])
+        assert_clean_exit(proc, 1, "delimiter")
+        assert "not found" not in proc.stderr
+
+
+class TestInputOutputErrors:
+    def test_directory_input_is_data_error(self, tmp_path):
+        proc = run_child([str(tmp_path)])
+        assert_clean_exit(proc, 2, "data error", str(tmp_path))
+
+    def test_non_utf8_input_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"f,label,pred\ncaf\xe9,1,1\nbar,0,1\n")
+        proc = run_child([str(path)])
+        assert_clean_exit(proc, 2, "data error", str(path), "UTF-8")
+
+    def test_non_utf8_stdin_is_data_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sliceminer.cli", "-", "-g", "label",
+             "-p", "pred"],
+            input=b"f,label,pred\ncaf\xe9,1,1\n", capture_output=True,
+            env=child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert b"input - is not UTF-8" in proc.stderr
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_usage_error(self, mixed_csv, tmp_path, target):
+        out = str(tmp_path / target)
+        proc = run_child([mixed_csv, "--out", out])
+        assert_clean_exit(proc, 1, "cannot write report", out)
+
+    def test_closed_stdout_still_succeeds(self, mixed_csv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails with EPIPE
+        try:
+            proc = run_child([mixed_csv], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_clean_exit(proc, 0)
 
 
 class TestImportFootprint:

@@ -21,6 +21,22 @@ def make_table(tmp_path, rows, header=("credithistory", "age", "label", "pred"))
     return write_csv(tmp_path / "data.csv", header, rows)
 
 
+class TestIngestConfig:
+    @pytest.mark.parametrize("delimiter", ["", ",,", '"', "\r", "\n"])
+    def test_delimiter_must_be_one_plain_character(self, delimiter):
+        with pytest.raises(ConfigError, match="delimiter"):
+            IngestConfig("g", "p", delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
+    def test_plain_delimiters_accepted(self, delimiter):
+        assert IngestConfig("g", "p", delimiter=delimiter).delimiter == delimiter
+
+    def test_negative_categorical_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="categorical threshold"):
+            IngestConfig("g", "p", categorical_threshold=-1)
+        assert IngestConfig("g", "p", categorical_threshold=0)
+
+
 class TestLoadTable:
     def test_300_row_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -108,6 +124,18 @@ class TestLoadTable:
         assert ds.n_records == 2
         assert ds.correctness.tolist() == [True, False]
 
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read input") as err:
+            load_table(str(tmp_path), CONFIG)
+        assert str(tmp_path) in str(err.value)
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"f,label,pred\ncaf\xe9,1,1\n")
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_table(str(path), CONFIG)
+        assert str(path) in str(err.value)
+
     def test_identical_gt_and_pred_rejected(self, tmp_path):
         path = make_table(tmp_path, [[1, 2, 1, 1]])
         with pytest.raises(ConfigError):
@@ -123,7 +151,8 @@ class TestLoadTable:
                 for i, p in enumerate(["1", "0", "1"])]
         text = "\ufeff" + "\n".join([header] + rows) + "\n"
         if from_stdin:
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(text.encode("utf-8"))))
             path = "-"
         else:
             path = tmp_path / "bom.csv"

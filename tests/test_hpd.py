@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer import hpd
-from sliceminer._kernels import min_width_window
-from sliceminer.hpd import HpdConfig, hpd_scan, shortest_interval
+from sliceminer.hpd import (HpdConfig, hpd_scan, min_width_window,
+                           shortest_interval)
 from sliceminer.model import Interval
 from sliceminer.oracle import exhaustive_shortest_interval
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceminer import _kernels, dtree
+from sliceminer import dtree
 from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
                                 summarize)
 from sliceminer.hpd import HpdConfig
@@ -32,13 +32,6 @@ from tests.conftest import dataset_from_columns
 def summary_of(n, k, ci_low=0.0, ci_high=1.0):
     return DatasetSummary(n_records=n, n_correct=k, metric=k / n,
                           ci_low=ci_low, ci_high=ci_high, ci_level=0.95)
-
-
-class TestAnalysisConfig:
-    @pytest.mark.parametrize("depth", [0, -3])
-    def test_max_depth_below_one_rejected(self, depth):
-        with pytest.raises(ValueError, match="max_depth"):
-            AnalysisConfig(max_depth=depth)
 
 
 class TestMinSupport:
@@ -451,8 +444,8 @@ class TestRunAnalysis:
     def test_each_tail_summed_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
         admitted = set()
-        tails = Counter()
-        tail = _kernels.hypergeom_lower_tail
+        asked = set()
+        pvalue = hypergeom_lower_pvalue
         one_way = generate_one_way
         higher = generate_higher_order
 
@@ -467,9 +460,9 @@ class TestRunAnalysis:
                 admitted.add((stats.support, stats.correct))
             return stats
 
-        def counting_tail(population, successes, draws, observed):
-            tails[population, successes, draws, observed] += 1
-            return tail(population, successes, draws, observed)
+        def counting_pvalue(population, successes, draws, observed):
+            asked.add((population, successes, draws, observed))
+            return pvalue(population, successes, draws, observed)
 
         monkeypatch.setattr(
             "sliceminer.slicer.generate_one_way",
@@ -478,13 +471,15 @@ class TestRunAnalysis:
             "sliceminer.slicer.generate_higher_order",
             lambda *args, **kw: carried(higher(*args, **kw), args[-1]))
         monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
-        monkeypatch.setattr(_kernels, "hypergeom_lower_tail", counting_tail)
+        monkeypatch.setattr("sliceminer.slicer.hypergeom_lower_pvalue",
+                            counting_pvalue)
         hypergeom_lower_pvalue.cache_clear()
         result = run_analysis(ds, AnalysisConfig(max_order=3))
-        assert max(tails.values()) == 1
-        assert {key[:2] for key in tails} == {
+        # a miss is a tail sum: one per distinct arguments asked for
+        assert hypergeom_lower_pvalue.cache_info().misses == len(asked)
+        assert {key[:2] for key in asked} == {
             (ds.n_records, int(ds.correctness.sum()))}
-        assert {key[2:] for key in tails} == admitted
+        assert {key[2:] for key in asked} == admitted
         assert all(result.filters.admits(n, k) for n, k in admitted)
 
         # a raised ValueError is not cached: the repeat raises too
