@@ -1,3 +1,3 @@
-"""Backend name that ``perfbench/child.py`` prints on every run; ROADMAP item 1 deletes it with the ``[numpy]`` self-check tag."""
+"""Backend name; only ``perfbench/child.py`` reads it, to print on every run."""
 
 BACKEND = "numpy"

@@ -6,7 +6,7 @@ default of --pvalue).  Exit codes: 0 success (zero slices found is success),
 1 usage or configuration error, 2 data error.  Configuration is checked
 before any input is read, so a bad knob exits 1 even when the input is bad.
 An input that cannot be read (a directory, no permission, not UTF-8) is a
-data error; a --out path that cannot be written is a configuration error.
+data error; a report that cannot be written, to --out or stdout, exits 1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import _kernels, stats
+from . import stats
 from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
                       load_table)
 from .dtree import gini
@@ -33,6 +33,7 @@ __all__ = ["run", "self_check", "main"]
 _HEURISTIC_NAMES = tuple(sorted(h.value for h in Heuristic))
 _ANALYSIS = AnalysisConfig()
 _INGEST = {f.name: f.default for f in fields(IngestConfig)}
+_CHUNK = 1 << 16  # report characters encoded and written at a time
 
 
 class _EnvValue(str):
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="COLUMN", help="force a column to continuous "
                         "(repeatable; overrides inference)")
     parser.add_argument("--all-numeric", action="store_true",
-                        default=_env("ALL_NUMERIC", "") == "1",
+                        default=_env("ALL_NUMERIC", False),
                         help="treat every numeric-parseable column as continuous")
     parser.add_argument("--categorical-threshold", type=int,
                         default=_env("CATEGORICAL_THRESHOLD",
@@ -151,20 +152,44 @@ def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
         format: str, out: str | None = None) -> int:
     """Execute one analysis run; returns the process exit code.
 
-    The cyclic collector is held off for the run and then restored to the
-    caller's setting: the run's objects are mostly acyclic, and the few
-    cycles it leaves (tree-building closures, the parser) are small."""
+    The report's one sink, ``out`` (created or truncated as by ``> out``)
+    or stdout, is opened before any input is read and gets the text in
+    UTF-8 chunks of ``_CHUNK`` characters.  The run holds the cyclic
+    collector off, then restores the caller's setting: its objects are
+    mostly acyclic, and its few cycles (tree closures, the parser) are small."""
+    try:
+        sink = open(out, "wb") if out else sys.stdout.buffer
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out}: "
+                          f"{exc.strerror or exc}") from None
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(path, ingest, analysis, format, out)
+        text = _report(path, ingest, analysis, format)
+        try:
+            if not out:  # text printed before the report goes first
+                sys.stdout.flush()
+            for start in range(0, len(text), _CHUNK):
+                sink.write(text[start:start + _CHUNK].encode("utf-8"))
+            sink.flush()
+        except OSError as exc:  # leftovers would fail again at close or exit
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sink.fileno())
+            os.close(null)
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise ConfigError(f"cannot write report to {out or 'stdout'}: "
+                              f"{exc.strerror or exc}") from None
+        return 0
     finally:
+        if out:
+            sink.close()
         if collecting:
             gc.enable()
 
 
-def _run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
-         format: str, out: str | None) -> int:
+def _report(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
+            format: str) -> str:
     dataset = load_table(path, ingest)
     if dataset.rejected_rows:
         rows = ", ".join(str(r) for r in dataset.rejected_rows[:20])
@@ -188,18 +213,7 @@ def _run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
         "all_numeric": ingest.all_numeric,
         "categorical_threshold": ingest.categorical_threshold,
     })
-    text = render(report, format)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write report to {out}: "
-                              f"{exc.strerror or exc}") from None
-    else:  # UTF-8 whatever the locale, the same bytes as --out
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    return 0
+    return render(report, format)
 
 
 def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
@@ -213,6 +227,8 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
                           f"{', '.join(_HEURISTIC_NAMES)}")
     categorical = args.categorical or ()
     continuous = args.continuous or ()
+    if args.all_numeric not in (True, False, "0", "1"):
+        raise ConfigError(f"all-numeric must be 0 or 1, not {args.all_numeric!r}")
     overlap = set(categorical) & set(continuous)
     if overlap:
         raise ConfigError(f"columns marked both categorical and continuous: "
@@ -226,7 +242,7 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
         missing_token=args.missing_token,
         categorical_threshold=args.categorical_threshold,
         overrides=overrides,
-        all_numeric=args.all_numeric,
+        all_numeric=args.all_numeric in (True, "1"),
     )
     analysis = AnalysisConfig(
         heuristics=frozenset(Heuristic(h) for h in heuristics),
@@ -244,66 +260,53 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
     return ingest, analysis
 
 
-def self_check(verbose: bool = True) -> int:
+def self_check() -> int:
     """Field verification of the numerics against built-in worked examples."""
     # imported here: only the self-check needs the exact oracle
     from . import oracle
 
-    checks: list[tuple[str, bool]] = []
-
-    def add(name: str, ok: bool) -> None:
-        checks.append((name, ok))
-
+    checks: dict[str, bool] = {}
     p = stats.hypergeom_lower_pvalue(300, 230, 21, 14)
-    add("lower tail (300,230,21,14) ~ 0.193", 0.188 <= p <= 0.198)
+    checks["lower tail (300,230,21,14) ~ 0.193"] = 0.188 <= p <= 0.198
     largest = max(k for k in range(0, 22)
                   if stats.hypergeom_lower_pvalue(300, 230, 21, k) < 0.05)
-    add("largest significant correct count at n=21 is 12", largest == 12)
+    checks["largest significant correct count at n=21 is 12"] = largest == 12
     exact = float(oracle.exact_hypergeom_pvalue(10, 5, 4, 1))
     fast = stats.hypergeom_lower_pvalue(10, 5, 4, 1)
-    add("tail (10,5,4,1) matches exact 55/210",
+    checks["tail (10,5,4,1) matches exact 55/210"] = (
         abs(fast - exact) <= 1e-10 * exact)
     exact_big = float(oracle.exact_hypergeom_pvalue(300, 230, 21, 14))
-    add("tail (300,230,21,14) matches exact rational",
+    checks["tail (300,230,21,14) matches exact rational"] = (
         abs(p - exact_big) <= 1e-10 * exact_big)
     low, high = stats.wilson_interval(230, 300, 0.95)
-    add("wilson 230/300 ~ [0.7156, 0.8110]",
+    checks["wilson 230/300 ~ [0.7156, 0.8110]"] = (
         abs(low - 0.715619) < 1e-5 and abs(high - 0.810972) < 1e-5)
     values = np.array([0.0, 1.0, 2.0, 3.0, 10.0])
     fast_iv = shortest_interval(values, 0.6)
-    add("shortest interval [0,1,2,3,10]@0.6 is [0,2]",
+    checks["shortest interval [0,1,2,3,10]@0.6 is [0,2]"] = (
         fast_iv == Interval(0.0, 2.0)
         and fast_iv == oracle.exhaustive_shortest_interval(values, 0.6))
-    add("gini(3,1) = 0.375", gini(3, 1) == 0.375)
+    checks["gini(3,1) = 0.375"] = gini(3, 1) == 0.375
 
     rng = np.random.default_rng(7)
     agree = True
-    for _ in range(50):
+    for _ in range(50):  # lo <= hi always holds: draws <= population
         population = int(rng.integers(2, 61))
         successes = int(rng.integers(0, population + 1))
         draws = int(rng.integers(1, population + 1))
         lo = max(0, draws - (population - successes))
-        hi = min(draws, successes)
-        if hi < lo:
-            continue
-        observed = int(rng.integers(lo, hi + 1))
+        observed = int(rng.integers(lo, min(draws, successes) + 1))
         want = float(oracle.exact_hypergeom_pvalue(population, successes,
                                                    draws, observed))
         got = stats.hypergeom_lower_pvalue(population, successes, draws, observed)
-        if abs(got - want) > 1e-10 * max(want, 1e-300):
-            agree = False
-            break
-    add("random sweep matches exact oracle (N<=60)", agree)
+        agree = agree and abs(got - want) <= 1e-10 * max(want, 1e-300)
+    checks["random sweep matches exact oracle (N<=60)"] = agree
 
-    failures = 0
-    for name, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        if verbose:
-            print(f"self-check [{_kernels.BACKEND}]: {name}: {status}")
-    if verbose:
-        print(f"self-check: {len(checks) - failures}/{len(checks)} passed")
-    return 0 if failures == 0 else 1
+    for name, ok in checks.items():
+        print(f"self-check: {name}: {'PASS' if ok else 'FAIL'}")
+    passed = sum(checks.values())
+    print(f"self-check: {passed}/{len(checks)} passed")
+    return 0 if passed == len(checks) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,9 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ingest, analysis = _configs(args)
         return run(args.input, ingest, analysis, args.format, args.out)
-    except ConfigError as exc:
-        print(f"sliceminer: error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"sliceminer: data error: {exc}", file=sys.stderr)
         return 2

@@ -333,10 +333,10 @@ def _render_markdown(report: dict) -> str:
         "|---|---|---|---|---|---|---|",
     ]
     for row in report["slices"]:
-        names = ", ".join(row["features"])
+        names = ", ".join(row["features"]).replace("|", r"\|")
         if len(row["features"]) > 1:
             names = f"({names})"
-        values = ", ".join(row["predicates"].values())
+        values = ", ".join(row["predicates"].values()).replace("|", r"\|")
         lines.append(f"| {names} | {values} | {row['support']} "
                      f"| {_fmt_perf(row['performance'])} "
                      f"| {_fmt_pvalue(row['p_value'])} "

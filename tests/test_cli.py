@@ -13,6 +13,7 @@ import pytest
 
 from sliceminer import cli
 from sliceminer.cli import build_parser, main, self_check
+from sliceminer.report import FORMATS
 from tests.conftest import child_env, write_csv
 
 
@@ -210,6 +211,20 @@ class TestStdinAndEnv:
         assert "usage:" in message
         assert "SLICEMINER_SUPPORT_FLOOR" in message and "abc" in message
 
+    def test_unparsed_all_numeric_env_var_is_usage_error(self, mixed_csv):
+        proc = run_child([mixed_csv], SLICEMINER_ALL_NUMERIC="true")
+        assert_clean_exit(proc, 1, "SLICEMINER_ALL_NUMERIC", "'true'")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("value, flag, want", [
+        ("1", [], True), ("0", [], False), ("0", ["--all-numeric"], True)])
+    def test_all_numeric_env_var(self, mixed_csv, monkeypatch, capsys,
+                                 value, flag, want):
+        monkeypatch.setenv("SLICEMINER_ALL_NUMERIC", value)
+        assert main([mixed_csv, "-g", "label", "-p", "pred", *flag]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["all_numeric"] is want
+
     def test_env_format_checked_before_input_is_read(self, tmp_path,
                                                      monkeypatch, capsys):
         # argparse applies choices to command-line values only
@@ -287,6 +302,89 @@ class TestInputOutputErrors:
         finally:
             os.close(write_end)
         assert_clean_exit(proc, 0)
+
+
+class TestReportSink:
+    """The report has one way out: a binary sink opened before any input is
+    read, written in UTF-8 chunks, whose write errors exit 1."""
+
+    def test_unwritable_out_reported_before_input_is_read(self, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        proc = run_child([str(tmp_path / "ghost.csv"), "--out", out])
+        assert_clean_exit(proc, 1, "cannot write report", out)
+        assert "not found" not in proc.stderr
+
+    def test_unwritable_out_reported_before_analysis(self, mixed_csv,
+                                                      tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        proc = run_child([mixed_csv, "--out", out])
+        assert_clean_exit(proc, 1, "cannot write report", out)
+        assert "candidates" not in proc.stderr
+
+    def test_out_is_truncated_before_a_failing_run(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("stale report\n")
+        assert main([str(tmp_path / "ghost.csv"), "-g", "label", "-p", "pred",
+                     "--out", str(target)]) == 2
+        assert target.read_bytes() == b""
+
+    def test_out_dev_null(self, mixed_csv, capsys):
+        assert main([mixed_csv, "-g", "label", "-p", "pred",
+                     "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("table", ["perfect_csv", "mixed_csv"])
+    def test_full_stdout_is_usage_error(self, table, unbuffered, request):
+        # the zero-slice report fits in stdout's buffer, so its write fails
+        # only when the buffer is flushed; the other is written past it
+        with open("/dev/full", "wb") as full:
+            proc = run_child([request.getfixturevalue(table)], stdout=full,
+                             PYTHONUNBUFFERED=unbuffered)
+        assert_clean_exit(proc, 1, "cannot write report to stdout")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_out_is_usage_error(self, perfect_csv):
+        # fails only when the file is flushed, as above
+        proc = run_child([perfect_csv, "--out", "/dev/full"])
+        assert_clean_exit(proc, 1, "cannot write report to /dev/full")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_with_buffered_report_succeeds(self, perfect_csv,
+                                                         unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_child([perfect_csv], stdout=write_end,
+                             PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert_clean_exit(proc, 0)
+
+    @pytest.mark.parametrize("format", FORMATS)
+    def test_small_chunks_give_the_rendered_bytes(self, format, mixed_csv,
+                                                  tmp_path, monkeypatch,
+                                                  capsysbinary):
+        rendered = []
+        render = cli.render
+
+        def recording(*args):
+            rendered.append(render(*args))
+            return rendered[-1]
+
+        monkeypatch.setattr(cli, "render", recording)
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        argv = [mixed_csv, "-g", "label", "-p", "pred", "--format", format]
+        target = tmp_path / f"report.{format}"
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(target)]) == 0
+        first, second = rendered
+        assert first == second and "–" in first  # en dash: 3 UTF-8 bytes
+        assert capsysbinary.readouterr().out == first.encode("utf-8")
+        assert target.read_bytes() == first.encode("utf-8")
 
 
 class TestImportFootprint:

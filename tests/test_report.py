@@ -283,6 +283,28 @@ class TestRenderMarkdown:
         if any(sl.order == 2 for sl, _ in result.reported):
             assert "| (" in text
 
+    def test_pipe_in_names_and_labels_escaped(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 300
+        group = rng.choice(["a|b", "c", "d"], n)
+        correct = rng.random(n) < 0.95
+        correct[group == "a|b"] &= rng.random(n)[group == "a|b"] < 0.5
+        ds = dataset_from_columns(
+            tmp_path, {"gr|p": group.tolist(),
+                       "x": [f"{v:.6f}" for v in rng.uniform(0, 1, n)]},
+            correct.tolist())
+        doc = build_report(run_analysis(ds, AnalysisConfig()), ds)
+        text = render(doc, "markdown")
+        table = text.split("## Reported slices\n\n")[1].split("\n\n")[0]
+        rows = table.splitlines()
+        assert len(rows) == len(doc["slices"]) + 2
+        for row in rows:  # a cell boundary is a "|" not escaped as "\|"
+            assert len(re.split(r"(?<!\\)\|", row)) == 7 + 2, row
+        assert "| gr\\|p | a\\|b | " in text
+        # the other formats keep the raw names and labels
+        assert '"gr|p": "a|b"' in render(doc, "json")
+        assert "\ngr|p,gr|p=a|b," in render(doc, "csv")
+
 
 class TestRenderCsv:
     def test_columns_and_rows(self, tmp_path):
