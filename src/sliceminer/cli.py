@@ -22,7 +22,7 @@ import numpy as np
 from . import stats
 from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
                       load_table)
-from .dtree import gini
+from .dtree import best_split
 from .hpd import HpdConfig, shortest_interval
 from .model import Heuristic, Interval
 from .report import FORMATS, build_report, render
@@ -152,11 +152,15 @@ def run(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
         format: str, out: str | None = None) -> int:
     """Execute one analysis run; returns the process exit code.
 
-    The report's one sink, ``out`` (created or truncated as by ``> out``)
-    or stdout, is opened before any input is read and gets the text in
-    UTF-8 chunks of ``_CHUNK`` characters.  The run holds the cyclic
-    collector off, then restores the caller's setting: its objects are
-    mostly acyclic, and its few cycles (tree closures, the parser) are small."""
+    The report's one sink, ``out`` (created or truncated as by ``> out``;
+    refused when it names the input file) or stdout, is opened before any
+    input is read and gets the text in UTF-8 chunks of ``_CHUNK``
+    characters.  The run holds the cyclic collector off, then restores the
+    caller's setting: its objects are mostly acyclic, and its few cycles
+    (tree closures, the parser) are small."""
+    if (out and path != "-" and os.path.exists(path) and os.path.exists(out)
+            and os.path.samefile(path, out)):
+        raise ConfigError(f"--out {out} names the input file")
     try:
         sink = open(out, "wb") if out else sys.stdout.buffer
     except OSError as exc:
@@ -286,7 +290,8 @@ def self_check() -> int:
     checks["shortest interval [0,1,2,3,10]@0.6 is [0,2]"] = (
         fast_iv == Interval(0.0, 2.0)
         and fast_iv == oracle.exhaustive_shortest_interval(values, 0.6))
-    checks["gini(3,1) = 0.375"] = gini(3, 1) == 0.375
+    checks["best split of [0,1,2,3] vs [T,T,F,F] is (1.0, 0.5)"] = (
+        best_split([0, 1, 2, 3], [True, True, False, False], 1) == (1.0, 0.5))
 
     rng = np.random.default_rng(7)
     agree = True

@@ -50,6 +50,10 @@ class FeatureKind(Enum):
 
 @dataclass(frozen=True)
 class IngestConfig:
+    """How to read a table: two distinct target columns, the delimiter, the
+    missing token (besides the empty cell; compared stripped, like every
+    cell) and how feature kinds are decided."""
+
     ground_truth: str
     prediction: str
     delimiter: str = ","
@@ -64,6 +68,8 @@ class IngestConfig:
                               f"quote or line break, got {self.delimiter!r}")
         if self.categorical_threshold < 0:
             raise ConfigError("categorical threshold must be >= 0")
+        if self.ground_truth == self.prediction:
+            raise ConfigError("ground-truth and prediction must be distinct columns")
 
 
 @dataclass(frozen=True)
@@ -111,37 +117,29 @@ class DatasetSummary:
     ci_method: str = "wilson"
 
 
-def _try_parse(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
-
-
-def _build_feature(name: str, tokens: list[str], missing: list[bool],
+def _build_feature(name: str, tokens: list[str], missing: set[str],
                    config: IngestConfig) -> Feature:
-    """Parse one column and decide its kind: an override wins, then a column
-    with a non-numeric token is categorical, then ``all_numeric`` makes it
-    continuous, then a distinct count at or below ``categorical_threshold``
-    makes it categorical.  In a numeric column, non-finite tokens (nan, inf)
-    are missing values."""
+    """Parse one column of stripped cells and decide its kind: an override
+    wins, then a column with a non-numeric token is categorical, then
+    ``all_numeric`` makes it continuous, then a distinct count at or below
+    ``categorical_threshold`` makes it categorical.  A token in ``missing``
+    is a missing value; in a numeric column, so are non-finite tokens
+    (nan, inf)."""
     override = config.overrides.get(name)
     parsed = np.full(len(tokens), np.nan)
     for i, tok in enumerate(tokens):
-        if missing[i]:
+        if tok in missing:
             continue
         try:
             parsed[i] = float(tok)
         except ValueError:
             if override is FeatureKind.CONTINUOUS:
                 raise ConfigError(f"column {name!r} is marked continuous but "
-                                  f"holds the non-numeric value {tok.strip()!r}"
+                                  f"holds the non-numeric value {tok!r}"
                                   ) from None
-            labels = tuple(sorted({t.strip() for t, gone in zip(tokens, missing)
-                                   if not gone}))
+            labels = tuple(sorted(set(tokens) - missing))
             code = {label: c for c, label in enumerate(labels)}
-            values = np.array([np.nan if gone else code[t.strip()]
-                               for t, gone in zip(tokens, missing)],
+            values = np.array([code.get(t, np.nan) for t in tokens],
                               dtype=np.float64)
             return Feature(name, FeatureKind.CATEGORICAL, values, labels)
 
@@ -159,31 +157,32 @@ def _build_feature(name: str, tokens: list[str], missing: list[bool],
         return Feature(name, kind, parsed, ())
     rows = np.flatnonzero(present)
     parsed[rows] = inverse
-    return Feature(name, kind, parsed,
-                   tuple(tokens[i].strip() for i in rows[first_idx]))
+    return Feature(name, kind, parsed, tuple(tokens[i] for i in rows[first_idx]))
 
 
 def load_table(path: str, config: IngestConfig) -> Dataset:
     """Parse a delimited UTF-8 file (header row required) into a Dataset.
 
-    ``path`` may be ``-`` for stdin, also read as UTF-8 whatever the
-    locale; a leading byte order mark is dropped.  Input that cannot be
-    read or is not UTF-8 raises ``DataError``.
+    ``path`` may be ``-`` for stdin; file and stdin are read the same way,
+    as bytes decoded once as UTF-8 whatever the locale, a leading byte
+    order mark dropped.  Input that cannot be read or is not UTF-8 raises
+    ``DataError``.  Each cell is stripped of surrounding whitespace once:
+    a cell is missing when its stripped text is empty or the stripped
+    ``missing_token``, so a blank cell is missing.
     Rows whose ground-truth or prediction cell is missing are rejected;
     their file line numbers are kept on the returned dataset.  Targets
-    compare as numbers when every present target token parses as one, and
-    as text otherwise.  In a column whose tokens all parse as numbers,
+    compare as numbers when every kept target cell parses as one, and
+    as text otherwise.  In a column whose cells all parse as numbers,
     non-finite ones (``nan``, ``inf``) count as missing: in a target column
     they reject the row, in a feature column they mask the cell.
     """
-    if config.ground_truth == config.prediction:
-        raise ConfigError("ground-truth and prediction must be distinct columns")
     try:
         if path == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8-sig")  # drops a byte order mark
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
     except OSError as exc:
@@ -191,9 +190,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
                         f"{exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"input {path} is not UTF-8: {exc}") from None
-    text = text.removeprefix("\ufeff")  # UTF-8 byte order mark
-    reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text), delimiter=config.delimiter))
     if not rows:
         raise DataError("input is empty: header row required")
     header = [name.strip() for name in rows[0]]
@@ -204,31 +201,33 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
 
-    def is_missing(token: str) -> bool:
-        return token == "" or token == config.missing_token
-
+    missing = {"", config.missing_token.strip()}
     gt_idx = header.index(config.ground_truth)
     pred_idx = header.index(config.prediction)
 
     present: list[tuple[int, list[str]]] = []
+    targets: list[tuple] = []
     rejected: list[int] = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(
                 f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        if is_missing(row[gt_idx]) or is_missing(row[pred_idx]):
+        gt, pred = row[gt_idx].strip(), row[pred_idx].strip()
+        if gt in missing or pred in missing:
             rejected.append(line_no)
         else:
             present.append((line_no, row))
+            targets.append((gt, pred))
 
-    targets = [(row[gt_idx].strip(), row[pred_idx].strip()) for _, row in present]
-    parsed = [(_try_parse(gt), _try_parse(pred)) for gt, pred in targets]
-    numeric = all(None not in pair for pair in parsed)
+    numeric = True
+    try:
+        targets = [(float(gt), float(pred)) for gt, pred in targets]
+    except ValueError:  # one text target: every target compares as text
+        numeric = False
     kept: list[list[str]] = []
     gt_values: list = []
     pred_values: list = []
-    for (line_no, row), text, number in zip(present, targets, parsed):
-        gt, pred = number if numeric else text
+    for (line_no, row), (gt, pred) in zip(present, targets):
         if numeric and not (math.isfinite(gt) and math.isfinite(pred)):
             rejected.append(line_no)  # nan/inf is a missing number
             continue
@@ -253,8 +252,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     for idx, name in enumerate(header):
         if idx in (gt_idx, pred_idx):
             continue
-        tokens = [row[idx] for row in kept]
-        missing = [is_missing(t) for t in tokens]
+        tokens = [row[idx].strip() for row in kept]
         features[name] = _build_feature(name, tokens, missing, config)
     return Dataset(features=features, correctness=correctness,
                    n_records=len(kept), n_correct=int(correctness.sum()),

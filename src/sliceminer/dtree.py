@@ -26,7 +26,7 @@ import numpy as np
 from .dataset import Feature, FeatureKind
 from .model import Filters, Heuristic, Interval, Slice, ValueSet, make_slice
 
-__all__ = ["TreeNode", "gini", "best_split", "fit_tree", "extract_slices"]
+__all__ = ["TreeNode", "best_split", "fit_tree", "extract_slices"]
 
 
 @dataclass
@@ -49,16 +49,6 @@ class TreeNode:
     @property
     def n_false(self) -> int:
         return self.size - self.n_true
-
-
-def gini(n_true: int, n_false: int) -> float:
-    """Binary Gini impurity of a node."""
-    total = n_true + n_false
-    if total < 1:
-        raise ValueError("gini of an empty node")
-    p_true = n_true / total
-    p_false = n_false / total
-    return 1.0 - p_true * p_true - p_false * p_false
 
 
 def best_split(column: np.ndarray, target: np.ndarray,

@@ -328,6 +328,23 @@ class TestReportSink:
                      "--out", str(target)]) == 2
         assert target.read_bytes() == b""
 
+    def test_out_naming_the_input_is_refused(self, mixed_csv, capsys):
+        before = open(mixed_csv, "rb").read()
+        head, tail = os.path.split(mixed_csv)
+        out = os.path.join(head, ".", tail)  # the same file, spelled apart
+        assert main([mixed_csv, "-g", "label", "-p", "pred",
+                     "--out", out]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert open(mixed_csv, "rb").read() == before
+
+    def test_same_target_columns_leave_out_untouched(self, mixed_csv,
+                                                     tmp_path):
+        target = tmp_path / "prev.json"
+        target.write_text("previous report\n")
+        assert main([mixed_csv, "-g", "label", "-p", "label",
+                     "--out", str(target)]) == 1
+        assert target.read_text() == "previous report\n"
+
     def test_out_dev_null(self, mixed_csv, capsys):
         assert main([mixed_csv, "-g", "label", "-p", "pred",
                      "--out", os.devnull]) == 0

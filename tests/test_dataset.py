@@ -93,6 +93,25 @@ class TestLoadTable:
         assert ds.rejected_rows == (5,)  # header is line 1
         assert ds.n_records == 5
 
+    @pytest.mark.parametrize("blank", [" ", "\t"])
+    def test_blank_target_is_missing(self, tmp_path, blank):
+        # a blank cell is missing, so the other targets still compare as numbers
+        rows = [["a", "1", "1.0"], ["b", "0", "0.0"], ["a", "1", "1"],
+                ["b", blank, "1.0"], ["a", "0", "0"], ["b", "1", "1.0"]]
+        path = write_csv(tmp_path / "blank.csv", ["f", "label", "pred"], rows)
+        ds = load_table(path, CONFIG)
+        assert ds.correctness.tolist() == [True] * 5
+        assert ds.rejected_rows == (5,)  # header is line 1
+
+    def test_missing_token_compared_stripped(self, tmp_path):
+        rows = [[" ? ", 1, 1], ["?", 0, 0], [" 2.5", "? ", 1], ["3.5 ", 1, 1]]
+        path = write_csv(tmp_path / "pad.csv", ["x", "label", "pred"], rows)
+        ds = load_table(path, IngestConfig(ground_truth="label",
+                                           prediction="pred",
+                                           missing_token=" ?"))
+        assert ds.rejected_rows == (4,)
+        assert np.isnan(ds.features["x"].values).tolist() == [True, True, False]
+
     def test_nan_stays_a_label_in_text_targets(self, tmp_path):
         rows = [[1, "cat", "cat"], [2, "nan", "dog"], [3, "nan", "nan"]]
         path = write_csv(tmp_path / "text.csv", ["f", "label", "pred"], rows)
@@ -136,10 +155,10 @@ class TestLoadTable:
             load_table(str(path), CONFIG)
         assert str(path) in str(err.value)
 
-    def test_identical_gt_and_pred_rejected(self, tmp_path):
-        path = make_table(tmp_path, [[1, 2, 1, 1]])
-        with pytest.raises(ConfigError):
-            load_table(path, IngestConfig(ground_truth="label", prediction="label"))
+    def test_identical_gt_and_pred_rejected(self):
+        # checked with the config, before any input or output is opened
+        with pytest.raises(ConfigError, match="distinct columns"):
+            IngestConfig(ground_truth="label", prediction="label")
 
     @pytest.mark.parametrize("header", ["label,pred,x", "x,label,pred"])
     @pytest.mark.parametrize("from_stdin", [False, True])
@@ -276,18 +295,26 @@ class TestSummarize:
 NUMERIC_CELLS = st.integers(-6, 30).map(lambda i: repr(i / 2))
 TEXT_CELLS = st.sampled_from(["a", "b", "c", "nan"])
 TARGET_CELLS = st.sampled_from(["0", "1", "2", "nan"])
+PADDING = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+def padded(cells):
+    """Cells that may be empty, and may carry surrounding spaces or tabs
+    (an empty one padded is whitespace-only)."""
+    return st.tuples(PADDING, st.one_of(st.just(""), cells), PADDING).map(
+        "".join)
 
 
 @st.composite
 def tables(draw):
     """(feature kind, cells) per column, plus label and prediction cells;
-    an empty string is a missing cell."""
+    a cell that strips to the empty string is a missing cell."""
     n = draw(st.integers(1, 12))
 
     def column(cells):
-        return draw(st.lists(cells, min_size=n, max_size=n))
+        return draw(st.lists(padded(cells), min_size=n, max_size=n))
 
-    features = [(kind, column(st.one_of(st.just(""), cells)))
+    features = [(kind, column(cells))
                 for kind, cells in draw(st.lists(
                     st.sampled_from([("numeric", NUMERIC_CELLS),
                                      ("text", TEXT_CELLS)]),
@@ -306,8 +333,10 @@ class TestCsvRoundTrip:
                 for i in range(len(labels))]
         path = write_csv(tmp_path_factory.mktemp("roundtrip") / "t.csv",
                          names + ["label", "pred"], rows)
+        labels = [cell.strip() for cell in labels]
+        preds = [cell.strip() for cell in preds]
         kept = [i for i in range(len(labels))
-                if "nan" not in (labels[i], preds[i])]
+                if not {"", "nan"} & {labels[i], preds[i]}]
         if not kept:
             with pytest.raises(DataError, match="no usable data rows"):
                 load_table(path, CONFIG)
@@ -323,6 +352,7 @@ class TestCsvRoundTrip:
                                          if i not in kept)
         assert ds.correctness.tolist() == [labels[i] == preds[i] for i in kept]
         for name, (kind, cells) in zip(names, features):
+            cells = [cell.strip() for cell in cells]
             present = [cells[i] for i in kept if cells[i] != ""]
             if kind == "numeric" or set(present) <= {"nan"}:
                 values = sorted({float(c) for c in present if c != "nan"})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer.dataset import Dataset, Feature, FeatureKind
-from sliceminer.dtree import best_split, extract_slices, fit_tree, gini
+from sliceminer.dtree import best_split, extract_slices, fit_tree
 from sliceminer.model import Filters, Interval, ValueSet
 from sliceminer.slicer import evaluate_slice
 
@@ -25,6 +25,11 @@ def categorical(name, codes, labels=None):
     if labels is None:
         labels = tuple(f"v{c}" for c in range(int(np.nanmax(codes)) + 1))
     return Feature(name, FeatureKind.CATEGORICAL, codes, tuple(labels))
+
+
+def gini(n_true, n_false):
+    total = n_true + n_false
+    return 1.0 - (n_true / total) ** 2 - (n_false / total) ** 2
 
 
 def exhaustive_best_split(column, target, min_leaf):
@@ -48,21 +53,6 @@ def exhaustive_best_split(column, target, min_leaf):
         if best is None or decrease > best[1]:
             best = (threshold, decrease)
     return best
-
-
-class TestGini:
-    def test_pure_node(self):
-        assert gini(10, 0) == 0.0
-
-    def test_balanced_node(self):
-        assert gini(5, 5) == 0.5
-
-    def test_hand_case(self):
-        assert gini(3, 1) == pytest.approx(0.375)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gini(0, 0)
 
 
 class TestBestSplit:

@@ -118,3 +118,33 @@ def test_trace_hooks_still_wrap_the_pipeline(tmp_path):
     assert len(doc["names"]) == 16
     called = {doc["names"][span[0]] for span in doc["spans"]}
     assert called == set(doc["names"])  # every hook sits on the call path
+
+
+def test_blank_cell_reads_as_missing(tmp_path):
+    """One num_main cell written blank instead of empty moves no report
+    byte: the column stays continuous, so an interval still covers the
+    planted band fault."""
+    data = tmp_path / "data.csv"
+    truth = load_fixtures().write_planted(str(data), 2000, 1)
+    lines = data.read_text(encoding="utf-8").split("\n")
+    column = lines[0].split(",").index("num_main")
+    line = 1 + min(set(range(2000)) - set(truth.band_rows))
+    reports = []
+    for cell in ("   ", ""):
+        cells = lines[line].split(",")
+        cells[column] = cell
+        edited = tmp_path / f"edited{len(reports)}.csv"
+        edited.write_text("\n".join(lines[:line] + [",".join(cells)]
+                                    + lines[line + 1:]), encoding="utf-8")
+        out = tmp_path / f"report{len(reports)}.json"
+        assert cli.main([str(edited), "-g", "label", "-p", "pred",
+                         "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    lo, hi = truth.band_extent
+    spans = [span for s in json.loads(reports[0])["slices"]
+             if s["heuristic"] in ("hpd", "dt")
+             for span in s["predicates"].get("num_main", "").split(" ∪ ")
+             if span]
+    assert any(float(low) <= lo and float(high) >= hi
+               for low, _, high in (span.partition("–") for span in spans))
