@@ -282,6 +282,10 @@ def self_check() -> int:
     exact_big = float(oracle.exact_hypergeom_pvalue(300, 230, 21, 14))
     checks["tail (300,230,21,14) matches exact rational"] = (
         abs(p - exact_big) <= 1e-10 * exact_big)
+    # its lower part drops 184 of 231 masses below the certificate's cut
+    checks["far tail (2000,1700,300,230) is the exact rational's float"] = (
+        stats.hypergeom_lower_pvalue(2000, 1700, 300, 230)
+        == float(oracle.exact_hypergeom_pvalue(2000, 1700, 300, 230)))
     low, high = stats.wilson_interval(230, 300, 0.95)
     checks["wilson 230/300 ~ [0.7156, 0.8110]"] = (
         abs(low - 0.715619) < 1e-5 and abs(high - 0.810972) < 1e-5)

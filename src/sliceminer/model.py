@@ -11,7 +11,8 @@ only builders whose inputs satisfy them by construction use it:
 ``make_slice`` builds from a dict, whose names are unique and which it
 sorts, and checks the order bound itself; ``slicer._conditioned_task``
 inserts a name the seed lacks into the seed's sorted predicates, and
-checks the order bound once per task.
+checks the order bound once per task; ``slicer.evaluate_slice`` and
+``slicer.run_analysis`` build stats whose correct count counts members.
 """
 
 from __future__ import annotations

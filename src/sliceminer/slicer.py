@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -96,13 +97,15 @@ class AnalysisResult:
 
 
 def min_support(summary: DatasetSummary, fraction: float, floor: int) -> int:
-    """max(floor, ceil(fraction * mispredicted records))."""
+    """max(floor, ceil(fraction * mispredicted records)), the product
+    taken on the fraction's decimal: 0.07 of 100 records is 7, where the
+    float product 7.000000000000001 would round up to 8."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if floor < 2:
         raise ValueError(f"floor must be >= 2, got {floor}")
     mispredicted = summary.n_records - summary.n_correct
-    return max(floor, math.ceil(fraction * mispredicted))
+    return max(floor, math.ceil(Fraction(repr(fraction)) * mispredicted))
 
 
 def perf_threshold(summary: DatasetSummary, gap: float) -> float:
@@ -138,11 +141,6 @@ def membership(dataset: Dataset, sl: Slice) -> np.ndarray:
 _EMPTY_STATS = SliceStats(support=0, correct=0, performance=float("nan"), p_value=1.0)
 
 
-def _counted_stats(n: int, k: int, p_value: float) -> SliceStats:
-    """Stats of a nonempty slice with ``n`` members, ``k`` of them correct."""
-    return SliceStats(support=n, correct=k, performance=k / n, p_value=p_value)
-
-
 def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     """Exact membership counts plus the lower-tail p-value against the
     dataset-level totals.  An empty slice yields the distinguished
@@ -152,8 +150,9 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
     if n == 0:
         return _EMPTY_STATS
     k = int(np.count_nonzero(dataset.correctness & mask))
-    return _counted_stats(n, k, hypergeom_lower_pvalue(
-        dataset.n_records, dataset.n_correct, n, k))
+    # k counts members, so k <= n holds and no check is needed
+    return SliceStats._make((n, k, k / n, hypergeom_lower_pvalue(
+        dataset.n_records, dataset.n_correct, n, k)))
 
 
 def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
@@ -292,7 +291,7 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
 
 def _rank(pair: tuple[Slice, SliceStats]) -> tuple:
     sl, stats = pair
-    return stats.p_value, -stats.support, sl.features
+    return stats.p_value, -stats.support, [name for name, _ in sl.predicates]
 
 
 def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
@@ -306,10 +305,10 @@ def filter_and_rank(evaluated: Sequence[tuple[Slice, SliceStats]],
     return kept
 
 
-def _group_counts(pairs: Sequence[tuple[Slice, SliceStats]]) -> dict:
-    """Slices per (heuristic name, order).  Counted by the enum member, so
-    ``.value`` is read once per group, not once per slice."""
-    groups = Counter((sl.heuristic, sl.order) for sl, _ in pairs)
+def _group_counts(groups: Counter) -> dict:
+    """Slices per (heuristic name, order) from slices per (heuristic,
+    order).  Counted by the enum member, so ``.value`` is read once per
+    group, not once per slice."""
     return {(heuristic.value, order): n
             for (heuristic, order), n in groups.items()}
 
@@ -321,16 +320,21 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     Each round takes only predicates no earlier candidate has (first
     occurrence wins) and is ranked once; its slices of the round's order
     seed the next round's conditioning.  A conditioned candidate comes with
-    its counts, so only its tail is summed here, once per distinct counts
-    in ascending support: the masses of one draw count are then built once
-    per round.  A tree candidate is evaluated against the dataset.  One
-    split table serves every round's trees."""
+    its counts, which passed the gates in generation.  Each round asks the
+    tails of its distinct counts in ascending support, so the masses of one
+    draw count are built once per round; the ``SliceStats`` of each
+    distinct counts is built once per run, beside its tail, and shared by
+    every conditioned slice with those counts.  A tree candidate is
+    evaluated against the dataset.  One split table serves every round's
+    trees."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
+    population, successes = dataset.n_records, dataset.n_correct
 
     seen = set()
     splits = {}
-    candidates = []
+    shared = {}
+    candidates = Counter()
     reported = []
     for order in range(1, config.max_order + 1):
         counts = {}
@@ -342,25 +346,29 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
                                               filters, counts, splits=splits)
         fresh = []
         for sl in generated:
-            key = sl.predicate_key()
+            key = sl.predicates
             if key not in seen:
                 seen.add(key)
                 fresh.append((sl, counts.get(key)))
-        tails = {(n, k): hypergeom_lower_pvalue(dataset.n_records,
-                                                dataset.n_correct, n, k)
-                 for n, k in sorted({c for _, c in fresh if c is not None})}
+        # counts an earlier round had are memo hits here; their stats stand
+        for n, k in sorted({c for _, c in fresh if c is not None}):
+            p_value = hypergeom_lower_pvalue(population, successes, n, k)
+            if (n, k) not in shared:
+                # k counts members of the n, so k <= n holds
+                shared[n, k] = SliceStats._make((n, k, k / n, p_value))
         this_round = [(sl, evaluate_slice(dataset, sl) if carried is None
-                       else _counted_stats(*carried, tails[carried]))
+                       else shared[carried])
                       for sl, carried in fresh]
-        candidates.extend((sl, stats) for sl, stats in this_round
+        candidates.update((sl.heuristic, sl.order) for sl, stats in this_round
                           if filters.admits(stats.support, stats.correct))
         ranked = filter_and_rank(this_round, filters)
         reported.extend(ranked)
     # stable: ties keep round order, as one ranking of every round would
     reported.sort(key=_rank)
 
-    return AnalysisResult(summary=summary, filters=filters,
-                          reported=tuple(reported),
-                          candidate_counts=_group_counts(candidates),
-                          reported_counts=_group_counts(reported),
-                          config=config)
+    return AnalysisResult(
+        summary=summary, filters=filters, reported=tuple(reported),
+        candidate_counts=_group_counts(candidates),
+        reported_counts=_group_counts(
+            Counter((sl.heuristic, sl.order) for sl, _ in reported)),
+        config=config)

@@ -459,6 +459,7 @@ class TestHelpAndSelfCheck:
         assert self_check() == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "far tail (2000,1700,300,230)" in out
 
     def test_self_check_flag(self, capsys):
         assert main(["--self-check"]) == 0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sliceminer import dtree
 from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
-                                summarize)
+                                IngestConfig, load_table, summarize)
 from sliceminer.hpd import HpdConfig
 from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
                               ValueSet, make_slice)
@@ -25,8 +25,9 @@ from sliceminer.slicer import (AnalysisConfig, _split_around, evaluate_slice,
 
 # admits every candidate with two or more members
 EVERYTHING = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
-from sliceminer.stats import hypergeom_lower_pvalue
+from sliceminer.stats import _masses, hypergeom_lower_pvalue
 from tests.conftest import dataset_from_columns
+from tests.test_golden import load_fixtures
 
 
 def summary_of(n, k, ci_low=0.0, ci_high=1.0):
@@ -45,6 +46,15 @@ class TestMinSupport:
     def test_floor_dominates_small_fraction(self):
         summary = summary_of(1000, 900)
         assert min_support(summary, 0.005, 2) == 2  # max(2, ceil(0.5))
+
+    @pytest.mark.parametrize("fraction, mispredicted, want", [
+        (0.07, 100, 7), (0.14, 100, 14), (0.28, 100, 28), (0.035, 200, 7),
+        (0.55, 100, 55), (0.07, 101, 8)])
+    def test_ceiling_of_the_decimal_product(self, fraction, mispredicted,
+                                            want):
+        # the float products read 7.000000000000001, 14.000000000000002, ...
+        summary = summary_of(1000, 1000 - mispredicted)
+        assert min_support(summary, fraction, 2) == want
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -424,22 +434,79 @@ class TestRunAnalysis:
             assert sl.heuristic is Heuristic.DT  # conditioned ones come counted
             return evaluate_slice(dataset, sl)
 
-        def counting_stats(**fields):
-            built.append(fields)
-            return SliceStats(**fields)
+        class CountingStats(SliceStats):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(args or kwargs)
+                return SliceStats(*args, **kwargs)
+
+            @classmethod
+            def _make(cls, fields):
+                built.append(fields)
+                return SliceStats._make(fields)
 
         monkeypatch.setattr("sliceminer.slicer.filter_and_rank", recording_rank)
         monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
-        monkeypatch.setattr("sliceminer.slicer.SliceStats", counting_stats)
+        monkeypatch.setattr("sliceminer.slicer.SliceStats", CountingStats)
         result = run_analysis(ds, AnalysisConfig(max_order=3))
         assert {sl.order for sl, _ in result.reported} >= {1, 2}
         pairs = [pair for evaluated_round in rounds for pair in evaluated_round]
         keys = Counter(sl.predicate_key() for sl, _ in pairs)
-        assert max(keys.values()) == 1  # each key gets one SliceStats ...
-        assert len(built) == len(pairs)  # ... and no other is built
+        assert max(keys.values()) == 1  # each key is evaluated once ...
+        conditioned = {(stats.support, stats.correct) for sl, stats in pairs
+                       if sl.heuristic is not Heuristic.DT}
+        counted_trees = sum(1 for sl, stats in pairs
+                            if sl.heuristic is Heuristic.DT and stats.support)
+        # ... with one SliceStats per distinct conditioned counts and one
+        # per counted tree candidate (an empty one shares the constant)
+        assert len(conditioned) < len(pairs) - counted_trees
+        assert len(built) == len(conditioned) + counted_trees
         assert evaluated and max(evaluated.values()) == 1
         assert set(evaluated) <= set(keys)
         assert {sl.predicate_key() for sl, _ in result.reported} <= set(keys)
+
+    def test_equal_counts_share_one_stats(self, tmp_path):
+        ds = random_dataset(tmp_path, 5)
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
+        shared = {}
+        orders = {}
+        for sl, stats in result.reported:
+            if sl.heuristic is not Heuristic.DT:
+                counts = stats.support, stats.correct
+                assert shared.setdefault(counts, stats) is stats
+                orders.setdefault(counts, set()).add(sl.order)
+        assert len(shared) < sum(1 for sl, _ in result.reported
+                                 if sl.heuristic is not Heuristic.DT)
+        assert any(len(seen) > 1 for seen in orders.values())  # across rounds
+
+    def test_masses_built_once_per_draw_count(self, tmp_path, monkeypatch):
+        # each round asks its tails in ascending support, so a draw count's
+        # masses are built again only for a later round or a tree candidate
+        data = tmp_path / "data.csv"
+        load_fixtures().write_planted(str(data), 2000, 1)
+        ds = load_table(str(data), IngestConfig("label", "pred"))
+        asked = set()
+        trees = []
+        pvalue = hypergeom_lower_pvalue
+
+        def recording_pvalue(population, successes, draws, observed):
+            asked.add(draws)
+            return pvalue(population, successes, draws, observed)
+
+        def recording_evaluate(dataset, sl):
+            trees.append(sl)
+            return evaluate_slice(dataset, sl)
+
+        monkeypatch.setattr("sliceminer.slicer.hypergeom_lower_pvalue",
+                            recording_pvalue)
+        monkeypatch.setattr("sliceminer.slicer.evaluate_slice",
+                            recording_evaluate)
+        hypergeom_lower_pvalue.cache_clear()
+        _masses.cache_clear()
+        run_analysis(ds, AnalysisConfig(max_order=2))
+        builds = _masses.cache_info().misses
+        assert len(asked) <= builds <= len(asked) + len(trees)
 
     def test_each_tail_summed_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)

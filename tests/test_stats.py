@@ -140,6 +140,11 @@ def skewed_params(draw):
     return population, successes, draws, observed
 
 
+def exact_sum(masses: tuple[float, ...]) -> float:
+    """``stats._exact_sum`` over the whole of a unimodal sequence."""
+    return stats._exact_sum(masses, masses.index(max(masses)), 0, len(masses))
+
+
 class TestCertifiedTail:
     """The kernel's tail equals the full-``fsum`` tail bit for bit."""
 
@@ -186,43 +191,82 @@ class TestCertifiedTail:
         return calls
 
     def test_nothing_dropped_is_one_sum(self, fsum_calls):
-        part = np.array([0.25, 1.0, 0.5, 2.0 ** -70])
-        assert stats._exact_sum(part) == 1.75 + 2.0 ** -70
+        masses = (0.25, 1.0, 0.5, 2.0 ** -70)
+        assert exact_sum(masses) == 1.75 + 2.0 ** -70
         assert fsum_calls == [4]
 
     def test_certified_sum_skips_the_dropped_terms(self, fsum_calls):
-        part = np.array([2.0 ** -90] * 100 + [1.0, 0.5] + [1e-40] * 100)
-        assert stats._exact_sum(part) == math.fsum(part.tolist()) == 1.5
+        masses = (2.0 ** -90,) * 100 + (1.0, 0.5) + (1e-40,) * 100
+        assert exact_sum(masses) == math.fsum(masses) == 1.5
         assert fsum_calls[:2] == [2, 3]  # kept terms, then kept and bound
         assert len(fsum_calls) == 3  # the third is the check above
 
-    @pytest.mark.parametrize("kept", [[0.5, 0.5], [0.5, 0.5 - 2.0 ** -54]])
+    @pytest.mark.parametrize("kept", [(0.5, 0.5), (0.5, 0.5 - 2.0 ** -54)])
     def test_power_of_two_sum_certifies(self, kept, fsum_calls):
         # the second kept sum ties half-way below 1.0 and rounds up to it;
         # dropped terms only add, so 1.0 stays the rounded total
-        part = np.array(kept + [2.0 ** -100, 0.0])
-        assert stats._exact_sum(part) == 1.0 == math.fsum(part.tolist())
+        masses = kept + (2.0 ** -100, 0.0)
+        assert exact_sum(masses) == 1.0 == math.fsum(masses)
         assert fsum_calls[:2] == [2, 3]
 
     def test_subnormal_cut_still_certifies(self, fsum_calls):
-        part = np.array([2.0 ** -1074, 2.0 ** -990, 0.0])  # cut 2**-1070
-        assert stats._exact_sum(part) == 2.0 ** -990
+        masses = (2.0 ** -1074, 2.0 ** -990, 0.0)  # cut 2**-1070
+        assert exact_sum(masses) == 2.0 ** -990
         assert fsum_calls == [1, 2]
-        assert math.fsum(part.tolist()) == 2.0 ** -990
+        assert math.fsum(masses) == 2.0 ** -990
 
     def test_tie_broken_by_a_dropped_term_falls_back(self, fsum_calls):
         # the kept terms round to 1.0 on a tie, and one dropped term
         # breaks it: the full sum rounds up, so the kept sum would be wrong
-        part = np.array([1.0, 2.0 ** -53, 2.0 ** -100])
-        got = stats._exact_sum(part)
+        masses = (1.0, 2.0 ** -53, 2.0 ** -100)
+        got = exact_sum(masses)
         assert fsum_calls == [2, 3, 3]
-        assert got == 1.0 + 2.0 ** -52 == math.fsum(part.tolist())
+        assert got == 1.0 + 2.0 ** -52 == math.fsum(masses)
+
+    @pytest.mark.parametrize("start, stop, kept", [
+        (0, 4, 2),   # rising flank only: the part's largest term is its end
+        (5, 9, 3),   # falling flank only: its start
+        (1, 8, 4),   # around the peak: the peak
+        (4, 5, 1)])  # the peak alone
+    def test_kept_run_found_on_each_flank(self, start, stop, kept,
+                                          fsum_calls):
+        # 1.5 * 2**-80 and 2**-80 are kept under the cut of their own
+        # flank's part and dropped under the peak's 2**-79
+        masses = (2.0 ** -200, 2.0 ** -85, 1.5 * 2.0 ** -80, 1.0, 2.0, 0.75,
+                  2.0 ** -60, 2.0 ** -80, 2.0 ** -150)
+        got = stats._exact_sum(masses, 4, start, stop)
+        assert fsum_calls[0] == kept
+        assert got == math.fsum(masses[start:stop])
+
+    def test_no_peak_sums_every_term(self, fsum_calls):
+        # masses whose flanks failed their check: nothing may be dropped
+        masses = (1.0, 2.0 ** -100, 1.0)
+        assert stats._exact_sum(masses, None, 0, 3) == 2.0 + 2.0 ** -100
+        assert fsum_calls == [3]
 
     def test_masses_are_read_only(self):
-        u = stats._masses(300, 230, 21)
-        with pytest.raises(ValueError):
-            u[0] = 0.0
-        assert stats._masses(300, 230, 21) is u
+        built = stats._masses(300, 230, 21)
+        masses, peak = built
+        assert isinstance(masses, tuple) and len(masses) == 22
+        assert masses[peak] == max(masses)
+        assert stats._masses(300, 230, 21) is built
+
+    @settings(max_examples=300, deadline=None)
+    @given(skewed_params())
+    def test_masses_rise_to_the_peak_and_fall_after(self, params):
+        masses, peak = stats._masses(*params[:3])
+        assert peak is not None
+        assert all(a <= b for a, b in zip(masses[:peak], masses[1:peak + 1]))
+        assert all(a >= b for a, b in zip(masses[peak:], masses[peak + 1:]))
+
+    def test_peak_is_checked_above_exact_products(self):
+        # beyond 94,906,265 records the factors' products may round, so the
+        # flanks are checked rather than assumed; these pass the check
+        args = 10 ** 9, 6 * 10 ** 8, 40
+        masses, peak = stats._masses(*args)
+        assert masses[peak] == max(masses)
+        for observed in range(41):
+            assert uncached_tail(*args, observed) == fsum_tail(*args, observed)
 
 
 class TestWilson:
