@@ -6,7 +6,8 @@ default of --pvalue).  Exit codes: 0 success (zero slices found is success),
 1 usage or configuration error, 2 data error.  Configuration is checked
 before any input is read, so a bad knob exits 1 even when the input is bad.
 An input that cannot be read (a directory, no permission, not UTF-8) is a
-data error; a report that cannot be written, to --out or stdout, exits 1.
+data error; a report that cannot be written, to --out or stdout, exits 1,
+as does a run that runs out of memory.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=FORMATS, help="output format (default: %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--workers", type=int,
-                        default=_env("WORKERS", _ANALYSIS.workers),
-                        help="parallel workers for candidate generation; 1 is "
-                             "fully sequential (default: %(default)s)")
     parser.add_argument("--self-check", action="store_true",
                         help="verify the built-in worked examples and exit")
     return parser
@@ -259,7 +256,6 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
         support_fraction=args.support_fraction,
         support_floor=args.support_floor,
         ci_level=args.ci_level,
-        workers=args.workers,
     )
     return ingest, analysis
 
@@ -339,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ValueError as exc:
         print(f"sliceminer: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("sliceminer: error: out of memory", file=sys.stderr)
         return 1
 
 

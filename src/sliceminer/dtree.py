@@ -135,8 +135,6 @@ def fit_tree(features: Sequence[Feature], correctness: np.ndarray,
             if key in splits:
                 found = splits[key]
             else:
-                # tasks run in threads may both miss on one key; each
-                # searches the same rows and stores the same result
                 found = splits[key] = best_split(feature.values[rows], target,
                                                  min_leaf)
             if found is not None and (best is None or found[1] > best[0]):

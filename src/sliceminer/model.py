@@ -9,9 +9,9 @@ and lies in 1..3, and a slice's correct count never exceeds its support.
 ``_make`` (and ``_replace``, which goes through it) skips the checks, so
 only builders whose inputs satisfy them by construction use it:
 ``make_slice`` builds from a dict, whose names are unique and which it
-sorts, and checks the order bound itself; ``slicer._conditioned_task``
+sorts, and checks the order bound itself; ``slicer._condition``
 inserts a name the seed lacks into the seed's sorted predicates, and
-checks the order bound once per task; ``slicer.evaluate_slice`` and
+checks the order bound once per call; ``slicer.evaluate_slice`` and
 ``slicer.run_analysis`` build stats whose correct count counts members.
 """
 

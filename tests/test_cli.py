@@ -88,6 +88,21 @@ class TestExitCodes:
                      "--categorical-threshold", "-1"]) == 1
         assert "categorical threshold must be >= 0" in capsys.readouterr().err
 
+    def test_out_of_memory_is_one_line(self, mixed_csv, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_report", exhausted)
+        was = gc.isenabled()
+        assert main([mixed_csv, "-g", "label", "-p", "pred"]) == 1
+        assert gc.isenabled() is was
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[-1] == "sliceminer: error: out of memory"
+        assert lines[:-1] and all(" candidates, " in line
+                                  for line in lines[:-1])
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestCollector:
     @pytest.mark.parametrize("enabled", [True, False])
@@ -124,11 +139,10 @@ class TestReportWiring:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["p_value_max"] == 0.01
 
-    def test_workers_absent_from_report(self, mixed_csv, capsys):
-        assert main([mixed_csv, "-g", "label", "-p", "pred",
-                     "--workers", "4"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "workers" not in doc["config"]
+    def test_workers_absent_from_report(self, mixed_csv):
+        # generation runs in one thread; the flag was removed, not ignored
+        proc = run_child([mixed_csv, "--workers", "4"])
+        assert_clean_exit(proc, 1, "usage:", "--workers")
 
     def test_out_writes_file(self, mixed_csv, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -407,7 +421,7 @@ class TestReportSink:
 class TestImportFootprint:
     def test_no_scipy_or_numba_at_runtime(self):
         # nor concurrent.futures (and the logging and queue modules it
-        # loads), which only a run with --workers above 1 needs
+        # loads): generation runs in one thread
         code = ("import sys, sliceminer, sliceminer.cli; "
                 "print(sorted({'scipy', 'numba', 'concurrent'} & "
                 "{name.partition('.')[0] for name in sys.modules}))")
@@ -418,13 +432,14 @@ class TestImportFootprint:
 
     def test_default_run_loads_neither_numpy_ma_nor_oracle(self, mixed_csv):
         # np.unique loads numpy.ma on numpy 2.x; the exact oracle serves
-        # only --self-check.  The table has a categorical feature, so trees
+        # only --self-check; generation runs in one thread, so no
+        # concurrent.futures.  The table has a categorical feature, so trees
         # concretize value sets.
         code = (
             "import json, sys\n"
             "import sliceminer.cli as cli\n"
             "from sliceminer import AnalysisConfig, IngestConfig\n"
-            "watched = {'numpy.ma', 'sliceminer.oracle'}\n"
+            "watched = {'numpy.ma', 'sliceminer.oracle', 'concurrent'}\n"
             "imported = sorted(watched & set(sys.modules))\n"
             "ds = cli.load_table(sys.argv[1], IngestConfig('label', 'pred'))\n"
             "result = cli.run_analysis(ds, AnalysisConfig())\n"
@@ -450,10 +465,10 @@ class TestHelpAndSelfCheck:
                               ("--initial-density", "0.9"),
                               ("--min-density-floor", "0.1"),
                               ("--ci-level", "0.95"),
-                              ("--max-order", "2"),
-                              ("--workers", "1")]:
+                              ("--max-order", "2")]:
             assert flag in text
             assert default in text
+        assert "--workers" not in text
 
     def test_self_check_passes(self, capsys):
         assert self_check() == 0

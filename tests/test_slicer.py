@@ -383,13 +383,6 @@ class TestRunAnalysis:
         low_keys = {sl.predicate_key() for sl, _ in low.reported}
         assert high_keys <= low_keys
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        ds = random_dataset(tmp_path, 42)
-        sequential = run_analysis(ds, AnalysisConfig(workers=1))
-        parallel = run_analysis(ds, AnalysisConfig(workers=8))
-        assert sequential.reported == parallel.reported
-        assert sequential.candidate_counts == parallel.candidate_counts
-
     def test_duplicate_predicates_merge_first_wins(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
         config = AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL}),
@@ -757,13 +750,12 @@ class TestSplitTable:
 
 class TestMatchesEvaluatingEveryKey:
     @pytest.mark.parametrize("max_order", [1, 2, 3])
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("build, seed", [(random_dataset, 5),
                                              (random_dataset, 99),
                                              (holey_dataset, 3)])
-    def test_same_results(self, tmp_path, build, seed, max_order, workers):
+    def test_same_results(self, tmp_path, build, seed, max_order):
         ds = build(tmp_path, seed)
-        config = AnalysisConfig(max_order=max_order, workers=workers)
+        config = AnalysisConfig(max_order=max_order)
         result = run_analysis(ds, config)
         assert result.reported
         assert (result.reported, result.candidate_counts,
