@@ -1,8 +1,6 @@
 """Command-line entry point: ingestion -> slicing -> report.
 
-Every knob has a flag; defaults can also be overridden through environment
-variables prefixed SLICEMINER_ (e.g. SLICEMINER_PVALUE=0.01 changes the
-default of --pvalue).  Exit codes: 0 success (zero slices found is success),
+Every knob is a flag.  Exit codes: 0 success (zero slices found is success),
 1 usage or configuration error, 2 data error.  Configuration is checked
 before any input is read, so a bad knob exits 1 even when the input is bad.
 An input that cannot be read (a directory, no permission, not UTF-8) is a
@@ -37,75 +35,47 @@ _INGEST = {f.name: f.default for f in fields(IngestConfig)}
 _CHUNK = 1 << 16  # report characters encoded and written at a time
 
 
-class _EnvValue(str):
-    """A default read from a SLICEMINER_* variable.  argparse converts
-    string defaults with the flag's ``type`` and quotes the value's repr when
-    that fails, so the repr names the variable."""
-
-    def __new__(cls, variable: str, raw: str):
-        value = super().__new__(cls, raw)
-        value.variable = variable
-        return value
-
-    def __repr__(self) -> str:
-        return f"{super().__repr__()} from {self.variable}"
-
-
-def _env(name: str, fallback):
-    variable = f"SLICEMINER_{name}"
-    raw = os.environ.get(variable)
-    return fallback if raw is None else _EnvValue(variable, raw)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sliceminer",
         description="Mine a labeled ML test dataset for explainable, "
-                    "statistically significant under-performing slices.",
-        epilog="Defaults may be overridden via SLICEMINER_<FLAG> environment "
-               "variables, e.g. SLICEMINER_PVALUE=0.01.")
+                    "statistically significant under-performing slices.")
     parser.add_argument("input", nargs="?", default=None,
                         help="delimited input file with a header row, or - for stdin")
-    parser.add_argument("-g", "--ground-truth", default=_env("GROUND_TRUTH", None),
+    parser.add_argument("-g", "--ground-truth", default=None,
                         help="name of the ground-truth column")
-    parser.add_argument("-p", "--prediction", default=_env("PREDICTION", None),
+    parser.add_argument("-p", "--prediction", default=None,
                         help="name of the model-prediction column")
-    parser.add_argument("--heuristics",
-                        default=_env("HEURISTICS", ",".join(sorted(
-                            h.value for h in _ANALYSIS.heuristics))),
+    parser.add_argument("--heuristics", default=",".join(sorted(
+                            h.value for h in _ANALYSIS.heuristics)),
                         help="comma-separated subset of categorical,dt,hpd "
                              "(default: %(default)s)")
-    parser.add_argument("--max-order", type=int,
-                        default=_env("MAX_ORDER", _ANALYSIS.max_order),
+    parser.add_argument("--max-order", type=int, default=_ANALYSIS.max_order,
                         help="largest feature interaction, 1-3 (default: %(default)s)")
-    parser.add_argument("--pvalue", type=float,
-                        default=_env("PVALUE", _ANALYSIS.p_value_max),
+    parser.add_argument("--pvalue", type=float, default=_ANALYSIS.p_value_max,
                         help="significance threshold (default: %(default)s)")
-    parser.add_argument("--gap", type=float, default=_env("GAP", _ANALYSIS.gap),
+    parser.add_argument("--gap", type=float, default=_ANALYSIS.gap,
                         help="under-performance gap below the CI lower bound, "
                              "absolute points (default: %(default)s)")
     parser.add_argument("--support-fraction", type=float,
-                        default=_env("SUPPORT_FRACTION", _ANALYSIS.support_fraction),
+                        default=_ANALYSIS.support_fraction,
                         help="minimal support as a fraction of mispredicted "
                              "records (default: %(default)s)")
     parser.add_argument("--support-floor", type=int,
-                        default=_env("SUPPORT_FLOOR", _ANALYSIS.support_floor),
+                        default=_ANALYSIS.support_floor,
                         help="absolute minimal support floor (default: %(default)s)")
-    parser.add_argument("--epsilon", type=float,
-                        default=_env("EPSILON", _ANALYSIS.hpd.epsilon),
+    parser.add_argument("--epsilon", type=float, default=_ANALYSIS.hpd.epsilon,
                         help="density step of the interval shrink loop "
                              "(default: %(default)s)")
     parser.add_argument("--initial-density", type=float,
-                        default=_env("INITIAL_DENSITY", _ANALYSIS.hpd.initial_density),
+                        default=_ANALYSIS.hpd.initial_density,
                         help="starting density of the interval search "
                              "(default: %(default)s)")
     parser.add_argument("--min-density-floor", type=float,
-                        default=_env("MIN_DENSITY_FLOOR",
-                                     _ANALYSIS.hpd.min_density_floor),
+                        default=_ANALYSIS.hpd.min_density_floor,
                         help="stop once fewer than this fraction of records "
                              "remains (default: %(default)s)")
-    parser.add_argument("--ci-level", type=float,
-                        default=_env("CI_LEVEL", _ANALYSIS.ci_level),
+    parser.add_argument("--ci-level", type=float, default=_ANALYSIS.ci_level,
                         help="confidence level of the dataset interval "
                              "(default: %(default)s)")
     parser.add_argument("--categorical", action="append", default=None,
@@ -115,21 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="COLUMN", help="force a column to continuous "
                         "(repeatable; overrides inference)")
     parser.add_argument("--all-numeric", action="store_true",
-                        default=_env("ALL_NUMERIC", False),
                         help="treat every numeric-parseable column as continuous")
     parser.add_argument("--categorical-threshold", type=int,
-                        default=_env("CATEGORICAL_THRESHOLD",
-                                     _INGEST["categorical_threshold"]),
+                        default=_INGEST["categorical_threshold"],
                         help="max distinct values for a numeric column to count "
                              "as categorical (default: %(default)s)")
-    parser.add_argument("--delimiter",
-                        default=_env("DELIMITER", _INGEST["delimiter"]),
+    parser.add_argument("--delimiter", default=_INGEST["delimiter"],
                         help="field delimiter (default: ',')")
-    parser.add_argument("--missing-token",
-                        default=_env("MISSING_TOKEN", _INGEST["missing_token"]),
+    parser.add_argument("--missing-token", default=_INGEST["missing_token"],
                         help="extra token treated as missing besides the empty "
                              "field (default: empty)")
-    parser.add_argument("--format", default=_env("FORMAT", "json"),
+    parser.add_argument("--format", default="json",
                         choices=FORMATS, help="output format (default: %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
@@ -219,17 +185,12 @@ def _report(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
 
 def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
     """Check the parsed flags and build the run's configs; reads no input."""
-    if args.format not in FORMATS:  # argparse skips choices for defaults
-        raise ConfigError(f"unknown format {args.format!r}; "
-                          f"choose from {', '.join(FORMATS)}")
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
     if not heuristics or set(heuristics) - set(_HEURISTIC_NAMES):
         raise ConfigError(f"heuristics must be a nonempty subset of "
                           f"{', '.join(_HEURISTIC_NAMES)}")
     categorical = args.categorical or ()
     continuous = args.continuous or ()
-    if args.all_numeric not in (True, False, "0", "1"):
-        raise ConfigError(f"all-numeric must be 0 or 1, not {args.all_numeric!r}")
     overlap = set(categorical) & set(continuous)
     if overlap:
         raise ConfigError(f"columns marked both categorical and continuous: "
@@ -243,7 +204,7 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
         missing_token=args.missing_token,
         categorical_threshold=args.categorical_threshold,
         overrides=overrides,
-        all_numeric=args.all_numeric in (True, "1"),
+        all_numeric=args.all_numeric,
     )
     analysis = AnalysisConfig(
         heuristics=frozenset(Heuristic(h) for h in heuristics),

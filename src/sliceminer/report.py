@@ -8,7 +8,7 @@ template.  Markdown and CSV show performance to 3 decimals and p-values in
 scientific notation with a 2-digit significand.  Predicate strings render
 intervals as inclusive "low–high" spans over actual data values (en dash
 separator, so negative bounds stay unambiguous) and category sets as original
-labels; ``parse_predicate`` turns them back into predicates.
+labels.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dataset import Dataset, FeatureKind
-from .model import (FeaturePredicate, Heuristic, Interval, Slice, SliceStats,
-                    ValueSet)
+from .model import FeaturePredicate, Heuristic, Slice, SliceStats, ValueSet
 from .slicer import MAX_DEPTH, AnalysisResult
 
 __all__ = [
     "SCHEMA_VERSION",
     "FORMATS",
     "render_predicate",
-    "parse_predicate",
     "summarize_supports",
     "build_report",
     "render",
@@ -50,36 +48,6 @@ def _quote_label(label: str) -> str:
     return label
 
 
-def _split_labels(text: str) -> list[str]:
-    """Split a rendered label list on ', ' while honoring double quotes."""
-    labels = []
-    buf = []
-    in_quotes = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_quotes:
-            if ch == '"':
-                if i + 1 < len(text) and text[i + 1] == '"':
-                    buf.append('"')
-                    i += 1
-                else:
-                    in_quotes = False
-            else:
-                buf.append(ch)
-        elif ch == '"':
-            in_quotes = True
-        elif ch == "," and i + 1 < len(text) and text[i + 1] == " ":
-            labels.append("".join(buf))
-            buf = []
-            i += 1
-        else:
-            buf.append(ch)
-        i += 1
-    labels.append("".join(buf))
-    return labels
-
-
 def _format_number(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return repr(int(value))
@@ -87,38 +55,14 @@ def _format_number(value: float) -> str:
 
 
 def render_predicate(pred: FeaturePredicate) -> str:
-    """Canonical predicate string: parse_predicate inverts it exactly."""
+    """Canonical string of one feature's predicate: a label, a parenthesised
+    list of labels, or an interval span."""
     if isinstance(pred, ValueSet):
         rendered = [_quote_label(label) for label in pred.labels]
         if len(rendered) == 1:
             return rendered[0]
         return "(" + ", ".join(rendered) + ")"
     return f"{_format_number(pred.low)}{_DASH}{_format_number(pred.high)}"
-
-
-def parse_predicate(text: str, kind: FeatureKind,
-                    labels: Sequence[str] = ()) -> FeaturePredicate:
-    """Invert render_predicate given the feature kind (and its labels when
-    categorical).  An interval must be one finite, non-inverted span."""
-    if kind is FeatureKind.CATEGORICAL:
-        body = text[1:-1] if text.startswith("(") and text.endswith(")") else text
-        wanted = _split_labels(body)
-        code_of = {label: code for code, label in enumerate(labels)}
-        try:
-            codes = sorted(code_of[label] for label in wanted)
-        except KeyError as exc:
-            raise ValueError(f"unknown category label {exc.args[0]!r}") from None
-        return ValueSet(codes=tuple(codes),
-                        labels=tuple(labels[c] for c in codes))
-    low_text, dash, high_text = text.partition(_DASH)
-    if not dash:
-        raise ValueError(f"malformed interval span: {text!r}")
-    interval = Interval(float(low_text), float(high_text))
-    if not (math.isfinite(interval.low) and math.isfinite(interval.high)):
-        raise ValueError(f"non-finite interval bound: {text!r}")
-    if interval.low > interval.high:
-        raise ValueError(f"inverted interval: {text!r}")
-    return interval
 
 
 def summarize_supports(slices: Sequence[tuple[Slice, SliceStats]]

@@ -293,7 +293,8 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     draw count are built once per round; the ``SliceStats`` of each
     distinct counts is built once per run, beside its tail, and shared by
     every conditioned slice with those counts.  A tree candidate is
-    evaluated against the dataset.  One split table serves every round's
+    evaluated against the dataset and gated there, so every pair a round
+    keeps is a counted candidate.  One split table serves every round's
     trees."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
@@ -324,11 +325,15 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
             if (n, k) not in shared:
                 # k counts members of the n, so k <= n holds
                 shared[n, k] = SliceStats._make((n, k, k / n, p_value))
-        this_round = [(sl, evaluate_slice(dataset, sl) if carried is None
-                       else shared[carried])
-                      for sl, carried in fresh]
-        candidates.update((sl.heuristic, sl.order) for sl, stats in this_round
-                          if filters.admits(stats.support, stats.correct))
+        this_round = []
+        for sl, carried in fresh:
+            if carried is not None:
+                this_round.append((sl, shared[carried]))
+            else:
+                stats = evaluate_slice(dataset, sl)
+                if filters.admits(stats.support, stats.correct):
+                    this_round.append((sl, stats))
+        candidates.update((sl.heuristic, sl.order) for sl, _ in this_round)
         ranked = filter_and_rank(this_round, filters)
         reported.extend(ranked)
     # stable: ties keep round order, as one ranking of every round would

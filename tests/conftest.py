@@ -1,35 +1,23 @@
-"""Shared fixtures: in-memory dataset builders and a clean environment for
-in-process and child-process CLI runs."""
+"""Shared test helpers: dataset builders and the environment of a
+child-process CLI run."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-import pytest
-
 import sliceminer
 from sliceminer.dataset import Dataset, IngestConfig, load_table
 
 
-@pytest.fixture(autouse=True)
-def no_sliceminer_env(monkeypatch):
-    """Hide the caller's SLICEMINER_* overrides, which the CLI reads as defaults."""
-    for key in list(os.environ):
-        if key.startswith("SLICEMINER_"):
-            monkeypatch.delenv(key)
-
-
-def child_env(**overrides: str) -> dict[str, str]:
+def child_environ(**overrides: str) -> dict[str, str]:
     """Environment for a child interpreter that must import this sliceminer.
 
-    Starts from ``os.environ`` without any ``SLICEMINER_*`` key, puts the
-    directory this process imported ``sliceminer`` from first on
-    ``PYTHONPATH`` (absolute, so the child's working directory does not
-    matter), then applies ``overrides``.
+    Starts from ``os.environ``, puts the directory this process imported
+    ``sliceminer`` from first on ``PYTHONPATH`` (absolute, so the child's
+    working directory does not matter), then applies ``overrides``.
     """
-    env = {key: value for key, value in os.environ.items()
-           if not key.startswith("SLICEMINER_")}
+    env = dict(os.environ)
     package_root = str(Path(sliceminer.__file__).resolve().parent.parent)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (package_root + os.pathsep + inherited if inherited

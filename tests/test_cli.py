@@ -14,7 +14,7 @@ import pytest
 from sliceminer import cli
 from sliceminer.cli import build_parser, main, self_check
 from sliceminer.report import FORMATS
-from tests.conftest import child_env, write_csv
+from tests.conftest import child_environ, write_csv
 
 
 @pytest.fixture()
@@ -81,6 +81,15 @@ class TestExitCodes:
         assert code == 1
         assert "p_value_max" in capsys.readouterr().err
 
+    def test_unknown_format_reported_before_input_is_read(self, tmp_path,
+                                                          capsys):
+        with pytest.raises(SystemExit) as err:
+            main([str(tmp_path / "ghost.csv"), "-g", "label", "-p", "pred",
+                  "--format", "yaml"])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert message.startswith("usage:") and "'yaml'" in message
+        assert "not found" not in message
 
     def test_negative_categorical_threshold_checked_before_input_is_read(
             self, tmp_path, capsys):
@@ -182,7 +191,7 @@ class TestStdoutBytes:
         target = tmp_path / "report.json"
         argv = [sys.executable, "-m", "sliceminer.cli", mixed_csv,
                 "-g", "label", "-p", "pred"]
-        env = child_env(PYTHONIOENCODING="latin-1")
+        env = child_environ(PYTHONIOENCODING="latin-1")
         to_file = subprocess.run(argv + ["--out", str(target)],
                                  capture_output=True, env=env)
         to_stdout = subprocess.run(argv, capture_output=True, env=env)
@@ -198,54 +207,29 @@ class TestStdinAndEnv:
         proc = subprocess.run(
             [sys.executable, "-m", "sliceminer.cli", "-", "-g", "label",
              "-p", "pred"],
-            input=text, capture_output=True, text=True, env=child_env())
+            input=text, capture_output=True, text=True, env=child_environ())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dataset"]["records"] == 400
 
-    def test_env_var_overrides_default(self, mixed_csv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sliceminer.cli", mixed_csv, "-g", "label",
-             "-p", "pred"],
-            capture_output=True, text=True,
-            env=child_env(SLICEMINER_PVALUE="0.01"))
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["config"]["p_value_max"] == 0.01
+    def test_sliceminer_variables_are_ignored(self, mixed_csv):
+        argv = [sys.executable, "-m", "sliceminer.cli", mixed_csv, "-g",
+                "label", "-p", "pred"]
+        plain = subprocess.run(argv, capture_output=True, env=child_environ())
+        with_vars = subprocess.run(
+            argv, capture_output=True,
+            env=child_environ(SLICEMINER_PVALUE="0.01",
+                              SLICEMINER_SUPPORT_FLOOR="abc",
+                              SLICEMINER_FORMAT="yaml"))
+        assert plain.returncode == 0, plain.stderr
+        assert with_vars.returncode == 0, with_vars.stderr
+        assert with_vars.stdout == plain.stdout
 
-    def test_malformed_env_var_is_usage_error(self, mixed_csv, monkeypatch,
-                                              capsys):
-        monkeypatch.setenv("SLICEMINER_SUPPORT_FLOOR", "abc")
-        with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(["--help"])
-        assert err.value.code == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main([mixed_csv, "-g", "label", "-p", "pred"])
-        assert err.value.code == 1
-        message = capsys.readouterr().err
-        assert "usage:" in message
-        assert "SLICEMINER_SUPPORT_FLOOR" in message and "abc" in message
-
-    def test_unparsed_all_numeric_env_var_is_usage_error(self, mixed_csv):
-        proc = run_child([mixed_csv], SLICEMINER_ALL_NUMERIC="true")
-        assert_clean_exit(proc, 1, "SLICEMINER_ALL_NUMERIC", "'true'")
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("value, flag, want", [
-        ("1", [], True), ("0", [], False), ("0", ["--all-numeric"], True)])
-    def test_all_numeric_env_var(self, mixed_csv, monkeypatch, capsys,
-                                 value, flag, want):
-        monkeypatch.setenv("SLICEMINER_ALL_NUMERIC", value)
+    @pytest.mark.parametrize("flag, want", [([], False),
+                                            (["--all-numeric"], True)])
+    def test_all_numeric_flag(self, mixed_csv, capsys, flag, want):
         assert main([mixed_csv, "-g", "label", "-p", "pred", *flag]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["all_numeric"] is want
-
-    def test_env_format_checked_before_input_is_read(self, tmp_path,
-                                                     monkeypatch, capsys):
-        # argparse applies choices to command-line values only
-        monkeypatch.setenv("SLICEMINER_FORMAT", "yaml")
-        assert main([str(tmp_path / "ghost.csv"), "-g", "label",
-                     "-p", "pred"]) == 1
-        assert "SLICEMINER_FORMAT" in capsys.readouterr().err
 
 
 def run_child(args, stdout=subprocess.PIPE, **env):
@@ -255,7 +239,7 @@ def run_child(args, stdout=subprocess.PIPE, **env):
         [sys.executable, "-m", "sliceminer.cli", *args, "-g", "label",
          "-p", "pred"],
         stdout=stdout, stderr=subprocess.PIPE, text=True,
-        env=child_env(**env))
+        env=child_environ(**env))
 
 
 def assert_clean_exit(proc, code, *named):
@@ -270,10 +254,6 @@ class TestDelimiter:
     def test_flag_is_usage_error(self, mixed_csv, delimiter):
         proc = run_child([mixed_csv, "--delimiter", delimiter])
         assert_clean_exit(proc, 1, "delimiter", repr(delimiter))
-
-    def test_env_var_is_usage_error(self, mixed_csv):
-        proc = run_child([mixed_csv], SLICEMINER_DELIMITER=",,")
-        assert_clean_exit(proc, 1, "delimiter", "',,'")
 
     def test_checked_before_input_is_read(self, tmp_path):
         proc = run_child([str(tmp_path / "ghost.csv"), "--delimiter", ",,"])
@@ -297,7 +277,7 @@ class TestInputOutputErrors:
             [sys.executable, "-m", "sliceminer.cli", "-", "-g", "label",
              "-p", "pred"],
             input=b"f,label,pred\ncaf\xe9,1,1\n", capture_output=True,
-            env=child_env())
+            env=child_environ())
         assert proc.returncode == 2, proc.stderr
         assert b"Traceback" not in proc.stderr
         assert b"input - is not UTF-8" in proc.stderr
@@ -426,7 +406,7 @@ class TestImportFootprint:
                 "print(sorted({'scipy', 'numba', 'concurrent'} & "
                 "{name.partition('.')[0] for name in sys.modules}))")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=child_env())
+                              capture_output=True, text=True, env=child_environ())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -446,7 +426,7 @@ class TestImportFootprint:
             "print(json.dumps([imported, sorted(watched & set(sys.modules)),\n"
             "                  sorted(result.candidate_counts)]))\n")
         proc = subprocess.run([sys.executable, "-c", code, mixed_csv],
-                              capture_output=True, text=True, env=child_env())
+                              capture_output=True, text=True, env=child_environ())
         assert proc.returncode == 0, proc.stderr
         imported, after_run, groups = json.loads(proc.stdout)
         assert imported == [] and after_run == []
@@ -469,6 +449,7 @@ class TestHelpAndSelfCheck:
             assert flag in text
             assert default in text
         assert "--workers" not in text
+        assert "SLICEMINER_" not in text
 
     def test_self_check_passes(self, capsys):
         assert self_check() == 0

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from sliceminer import cli
-from tests.conftest import child_env
+from tests.conftest import child_environ
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FORMATS = ("json", "markdown", "csv")
@@ -112,7 +112,7 @@ def test_trace_hooks_still_wrap_the_pipeline(tmp_path):
         [sys.executable, str(PERFBENCH / "child.py"), "trace", str(spans), "--",
          str(data), "-g", "label", "-p", "pred", "--out",
          str(tmp_path / "report.json")],
-        env=child_env(), capture_output=True, text=True, timeout=120)
+        env=child_environ(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(spans.read_text(encoding="utf-8"))
     assert len(doc["names"]) == 16

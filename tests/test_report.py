@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from sliceminer import report
 from sliceminer.dataset import FeatureKind
 from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
-from sliceminer.report import (CSV_COLUMNS, build_report, parse_predicate,
-                               render, render_predicate, summarize_supports)
+from sliceminer.report import (CSV_COLUMNS, build_report, render,
+                               render_predicate, summarize_supports)
 from sliceminer.slicer import AnalysisConfig, membership, run_analysis
 from tests.conftest import dataset_from_columns
 
@@ -68,6 +69,60 @@ class TestSummarizeSupports:
                         "g": ValueSet((0,), ("b",))}, Heuristic.HPD)
         groups = summarize_supports([(a, self.stats(10)), (b, self.stats(20))])
         assert set(groups) == {("hpd", 1), ("hpd", 2)}
+
+
+def _split_labels(text: str) -> list[str]:
+    """Split a rendered label list on ', ' while honoring double quotes."""
+    labels = []
+    buf = []
+    in_quotes = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if in_quotes:
+            if ch == '"':
+                if i + 1 < len(text) and text[i + 1] == '"':
+                    buf.append('"')
+                    i += 1
+                else:
+                    in_quotes = False
+            else:
+                buf.append(ch)
+        elif ch == '"':
+            in_quotes = True
+        elif ch == "," and i + 1 < len(text) and text[i + 1] == " ":
+            labels.append("".join(buf))
+            buf = []
+            i += 1
+        else:
+            buf.append(ch)
+        i += 1
+    labels.append("".join(buf))
+    return labels
+
+
+def parse_predicate(text, kind, labels=()):
+    """The round-trip oracle of ``render_predicate``: the predicate a
+    rendered string stands for, given the feature kind (and its labels when
+    categorical).  An interval must be one finite, non-inverted span."""
+    if kind is FeatureKind.CATEGORICAL:
+        body = text[1:-1] if text.startswith("(") and text.endswith(")") else text
+        code_of = {label: code for code, label in enumerate(labels)}
+        try:
+            codes = sorted(code_of[label] for label in _split_labels(body))
+        except KeyError as exc:
+            raise ValueError(f"unknown category label {exc.args[0]!r}") from None
+        return ValueSet(codes=tuple(codes),
+                        labels=tuple(labels[c] for c in codes))
+    low_text, dash, high_text = text.partition("–")
+    if not dash:
+        raise ValueError(f"malformed interval span: {text!r}")
+    interval = Interval(float(low_text), float(high_text))
+    if not (math.isfinite(interval.low) and math.isfinite(interval.high)):
+        raise ValueError(f"non-finite interval bound: {text!r}")
+    if interval.low > interval.high:
+        raise ValueError(f"inverted interval: {text!r}")
+    return interval
 
 
 class TestPredicateStrings:
