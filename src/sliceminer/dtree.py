@@ -46,10 +46,6 @@ class TreeNode:
     def size(self) -> int:
         return self.rows.size
 
-    @property
-    def n_false(self) -> int:
-        return self.size - self.n_true
-
 
 def best_split(column: np.ndarray, target: np.ndarray,
                min_leaf: int) -> Optional[tuple[float, float]]:

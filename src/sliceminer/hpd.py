@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import Interval
 
-__all__ = ["HpdConfig", "min_width_window", "shortest_interval", "hpd_scan"]
+__all__ = ["HpdConfig", "min_width_window", "hpd_scan"]
 
 # accuracy deltas at or below this are treated as ties (neither branch emits)
 _TIE_TOLERANCE = 1e-12
@@ -64,21 +64,6 @@ def min_width_window(values: np.ndarray, m: int) -> int:
     """
     widths = values[m - 1:] - values[: values.size - m + 1]
     return int(widths.argmin())  # first minimum: leftmost tie wins
-
-
-def shortest_interval(sorted_values: np.ndarray, proportion: float) -> Interval:
-    """Narrowest window covering ceil(proportion * len) consecutive values.
-
-    Ties break to the leftmost window.  ``sorted_values`` must be ascending.
-    """
-    values = np.asarray(sorted_values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("empty value array")
-    if not 0.0 < proportion <= 1.0:
-        raise ValueError(f"proportion must be in (0, 1], got {proportion}")
-    m = min(values.size, max(1, math.ceil(proportion * values.size)))
-    i = min_width_window(values, m)
-    return Interval(float(values[i]), float(values[i + m - 1]))
 
 
 def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig

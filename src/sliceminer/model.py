@@ -40,10 +40,6 @@ class Interval(NamedTuple):
     low: float
     high: float
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
     def contains(self, values: np.ndarray) -> np.ndarray:
         return (values >= self.low) & (values <= self.high)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, comb
 
-from .model import Heuristic, Interval, ValueSet
+from .model import Interval
 
 __all__ = [
     "exact_hypergeom_pvalue",
@@ -79,16 +79,3 @@ def exhaustive_categorical_slices(dataset, filters):
             reported.add((name, label))
     return reported
 
-
-def slice_key_set(reported) -> set:
-    """Project reported (Slice, SliceStats) pairs onto {(feature, label)}
-    keys for 1-way categorical slices, mirroring
-    exhaustive_categorical_slices."""
-    keys = set()
-    for sl, _ in reported:
-        if sl.order != 1 or sl.heuristic is not Heuristic.CATEGORICAL:
-            continue
-        (name, pred), = sl.predicates
-        if isinstance(pred, ValueSet) and len(pred.codes) == 1:
-            keys.add((name, pred.labels[0]))
-    return keys

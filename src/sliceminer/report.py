@@ -235,6 +235,13 @@ def _render_json(report: dict) -> str:
     return "".join(parts)
 
 
+def _md_cell(text: str) -> str:
+    """Text safe in one markdown table cell: pipes escaped, line breaks
+    as ``<br>`` so the row stays on one line."""
+    return (text.replace("|", r"\|").replace("\r\n", "<br>")
+            .replace("\n", "<br>").replace("\r", "<br>"))
+
+
 def _render_markdown(report: dict) -> str:
     d = report["dataset"]
     f = report["filters"]
@@ -277,10 +284,10 @@ def _render_markdown(report: dict) -> str:
         "|---|---|---|---|---|---|---|",
     ]
     for row in report["slices"]:
-        names = ", ".join(row["features"]).replace("|", r"\|")
+        names = _md_cell(", ".join(row["features"]))
         if len(row["features"]) > 1:
             names = f"({names})"
-        values = ", ".join(row["predicates"].values()).replace("|", r"\|")
+        values = _md_cell(", ".join(row["predicates"].values()))
         lines.append(f"| {names} | {values} | {row['support']} "
                      f"| {_fmt_perf(row['performance'])} "
                      f"| {_fmt_pvalue(row['p_value'])} "

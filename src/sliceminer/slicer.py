@@ -68,8 +68,8 @@ class AnalysisConfig:
             raise ValueError(f"max_order must be 1..3, got {self.max_order}")
         if not 0.0 < self.p_value_max < 1.0:
             raise ValueError(f"p_value_max must be in (0, 1), got {self.p_value_max}")
-        if self.gap < 0.0:
-            raise ValueError(f"gap must be >= 0, got {self.gap}")
+        if not 0.0 <= self.gap < math.inf:  # NaN fails every comparison
+            raise ValueError(f"gap must be finite and >= 0, got {self.gap}")
         if not 0.0 < self.support_fraction < 1.0:
             raise ValueError(
                 f"support_fraction must be in (0, 1), got {self.support_fraction}")
@@ -107,8 +107,8 @@ def min_support(summary: DatasetSummary, fraction: float, floor: int) -> int:
 
 def perf_threshold(summary: DatasetSummary, gap: float) -> float:
     """CI lower bound minus the gap (absolute points), clamped to [0, 1]."""
-    if gap < 0.0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"gap must be finite and >= 0, got {gap}")
     return min(1.0, max(0.0, summary.ci_low - gap))
 
 

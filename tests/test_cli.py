@@ -261,6 +261,19 @@ class TestDelimiter:
         assert "not found" not in proc.stderr
 
 
+class TestGap:
+    @pytest.mark.parametrize("gap", ["nan", "inf", "-inf"])
+    def test_non_finite_gap_is_usage_error(self, mixed_csv, gap):
+        proc = run_child([mixed_csv, f"--gap={gap}"])
+        assert_clean_exit(proc, 1, "gap must be finite and >= 0")
+        assert proc.stdout == ""
+
+    def test_checked_before_input_is_read(self, tmp_path):
+        proc = run_child([str(tmp_path / "ghost.csv"), "--gap", "nan"])
+        assert_clean_exit(proc, 1, "gap must be finite and >= 0")
+        assert "not found" not in proc.stderr
+
+
 class TestInputOutputErrors:
     def test_directory_input_is_data_error(self, tmp_path):
         proc = run_child([str(tmp_path)])
@@ -456,6 +469,8 @@ class TestHelpAndSelfCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "far tail (2000,1700,300,230)" in out
+        # the interval check runs the window search hpd_scan calls
+        assert "window search [0,1,2,3,10]@0.6 is [0,2]: PASS" in out
 
     def test_self_check_flag(self, capsys):
         assert main(["--self-check"]) == 0

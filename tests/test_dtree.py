@@ -114,14 +114,14 @@ class TestFitTree:
         tree = fit_tree([continuous("f", np.arange(10.0))],
                         np.ones(10, dtype=bool), min_leaf=1, max_depth=5)
         assert tree.is_leaf
-        assert tree.n_true == 10 and tree.n_false == 0
+        assert tree.n_true == 10 and tree.size - tree.n_true == 0
 
     def test_depth_one_pure_children(self):
         tree = fit_tree([continuous("f", [1.0, 2.0, 3.0, 4.0])],
                         np.array([True, True, False, False]),
                         min_leaf=1, max_depth=5)
         assert tree.feature == "f" and tree.threshold == 2.0
-        assert tree.left.is_leaf and tree.left.n_false == 0
+        assert tree.left.is_leaf and tree.left.size - tree.left.n_true == 0
         assert tree.right.is_leaf and tree.right.n_true == 0
 
     def test_xor_grid_isolates_false_quadrants(self):
@@ -138,8 +138,8 @@ class TestFitTree:
             assert not child.is_leaf and child.threshold == 0.25
             sides = sorted((child.left, child.right),
                            key=lambda node: node.n_true)
-            assert sides[0].n_true == 0 and sides[0].n_false == 8
-            assert sides[1].n_false == 0 and sides[1].n_true == 8
+            assert sides[0].n_true == 0 and sides[0].size - sides[0].n_true == 8
+            assert sides[1].size - sides[1].n_true == 0 and sides[1].n_true == 8
 
     def test_children_partition_parent(self):
         rng = np.random.default_rng(4)
@@ -190,7 +190,7 @@ class TestFitTree:
 
         def shape(node):
             if node.is_leaf:
-                return (node.n_true, node.n_false)
+                return (node.n_true, node.size - node.n_true)
             return (node.feature, node.threshold, shape(node.left), shape(node.right))
 
         t1 = fit_tree(cols, correct, min_leaf=5, max_depth=5)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceminer import report
-from sliceminer.dataset import FeatureKind
+from sliceminer.dataset import FeatureKind, IngestConfig, load_table
 from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
 from sliceminer.report import (CSV_COLUMNS, build_report, render,
                                render_predicate, summarize_supports)
@@ -359,6 +359,32 @@ class TestRenderMarkdown:
         # the other formats keep the raw names and labels
         assert '"gr|p": "a|b"' in render(doc, "json")
         assert "\ngr|p,gr|p=a|b," in render(doc, "csv")
+
+    def test_line_breaks_in_names_and_labels_kept_in_one_row(self, tmp_path):
+        # 100 rows per label; those with a line break are 30% correct
+        breaks = ["re\nd", "bl\r\nue", "gr\ray"]
+        path = tmp_path / "breaks.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(["col\nour", "label", "pred"])
+            for i in range(400):
+                group = (breaks + ["c"])[i % 4]
+                correct = group == "c" or i // 4 % 10 < 3
+                writer.writerow([group, 1, int(correct)])
+        ds = load_table(str(path), IngestConfig("label", "pred"))
+        doc = build_report(run_analysis(ds, AnalysisConfig(max_order=1)), ds)
+        text = render(doc, "markdown")
+        table = text.split("## Reported slices\n\n")[1].split("\n\n")[0]
+        rows = table.split("\n")
+        assert len(rows) == len(doc["slices"]) + 2
+        for row in rows:
+            assert "\r" not in row
+            assert len(re.split(r"(?<!\\)\|", row)) == 7 + 2, row
+        for label in ("re<br>d", "bl<br>ue", "gr<br>ay"):
+            assert f"| col<br>our | {label} | " in text
+        # the other formats keep the raw names and labels
+        assert '"col\\nour": "re\\nd"' in render(doc, "json")
+        assert "col\nour=bl\r\nue" in render(doc, "csv")
 
 
 class TestRenderCsv:

@@ -17,7 +17,7 @@ from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
 from sliceminer.hpd import HpdConfig
 from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
                               ValueSet, make_slice)
-from sliceminer.oracle import exhaustive_categorical_slices, slice_key_set
+from sliceminer.oracle import exhaustive_categorical_slices
 from sliceminer.slicer import (AnalysisConfig, _split_around, evaluate_slice,
                                filter_and_rank, generate_higher_order,
                                generate_one_way, membership, min_support,
@@ -73,6 +73,13 @@ class TestPerfThreshold:
 
     def test_clamped_at_zero(self):
         assert perf_threshold(summary_of(100, 2, ci_low=0.02), 0.04) == 0.0
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -0.01])
+    def test_gap_must_be_finite_and_nonnegative(self, gap):
+        with pytest.raises(ValueError, match="gap must be finite and >= 0"):
+            perf_threshold(summary_of(100, 80, ci_low=0.72), gap)
+        with pytest.raises(ValueError, match="gap must be finite and >= 0"):
+            AnalysisConfig(gap=gap)
 
 
 def statlog_like(tmp_path):
@@ -317,6 +324,20 @@ def random_dataset(tmp_path, seed, n=240):
         {"cat1": cat1.tolist(), "cat2": cat2.tolist(),
          "x": [f"{v:.9f}" for v in x]},
         correct.tolist())
+
+
+def slice_key_set(reported) -> set:
+    """Project reported (Slice, SliceStats) pairs onto {(feature, label)}
+    keys for 1-way categorical slices, mirroring
+    exhaustive_categorical_slices."""
+    keys = set()
+    for sl, _ in reported:
+        if sl.order != 1 or sl.heuristic is not Heuristic.CATEGORICAL:
+            continue
+        (name, pred), = sl.predicates
+        if isinstance(pred, ValueSet) and len(pred.codes) == 1:
+            keys.add((name, pred.labels[0]))
+    return keys
 
 
 class TestRunAnalysis:
