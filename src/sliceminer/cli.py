@@ -23,7 +23,7 @@ from . import stats
 from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
                       load_table)
 from .dtree import best_split
-from .hpd import HpdConfig, min_width_window
+from .hpd import _LOOP_WINDOWS, HpdConfig, min_width_window
 from .model import Heuristic, Interval
 from .report import FORMATS, build_report, render
 from .slicer import AnalysisConfig, run_analysis
@@ -247,14 +247,21 @@ def self_check() -> int:
     low, high = stats.wilson_interval(230, 300, 0.95)
     checks["wilson 230/300 ~ [0.7156, 0.8110]"] = (
         abs(low - 0.715619) < 1e-5 and abs(high - 0.810972) < 1e-5)
-    # the window search hpd_scan runs, sized for a 0.6 share of the values
-    values = np.array([0.0, 1.0, 2.0, 3.0, 10.0])
-    m = min(values.size, max(1, math.ceil(0.6 * values.size)))
-    i = min_width_window(values, m)
-    window = Interval(float(values[i]), float(values[i + m - 1]))
-    checks["window search [0,1,2,3,10]@0.6 is [0,2]"] = (
-        window == Interval(0.0, 2.0)
-        and window == oracle.exhaustive_shortest_interval(values, 0.6))
+    # the window search hpd_scan runs, sized for a share of the values: the
+    # loop takes 3 windows of [0,1,2,3,10], numpy 21 windows of 0..39
+    for name, values, share, low, high, loop in (
+            ("[0,1,2,3,10]@0.6 is [0,2]", [0.0, 1.0, 2.0, 3.0, 10.0], 0.6,
+             0.0, 2.0, True),
+            ("0..39@0.5 is [0,19]", [float(x) for x in range(40)], 0.5,
+             0.0, 19.0, False)):
+        n = len(values)
+        m = min(n, max(1, math.ceil(share * n)))
+        i = min_width_window(np.array(values), values, 0, n, m)
+        window = Interval(values[i], values[i + m - 1])
+        checks[f"window search {name}"] = (
+            (n - m < _LOOP_WINDOWS) is loop
+            and window == Interval(low, high)
+            and window == oracle.exhaustive_shortest_interval(values, share))
     checks["best split of [0,1,2,3] vs [T,T,F,F] is (1.0, 0.5)"] = (
         best_split([0, 1, 2, 3], [True, True, False, False], 1) == (1.0, 0.5))
 

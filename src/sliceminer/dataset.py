@@ -165,10 +165,12 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
 
     ``path`` may be ``-`` for stdin; file and stdin are read the same way,
     as bytes decoded once as UTF-8 whatever the locale, a leading byte
-    order mark dropped.  Input that cannot be read or is not UTF-8 raises
-    ``DataError``.  Each cell is stripped of surrounding whitespace once:
-    a cell is missing when its stripped text is empty or the stripped
-    ``missing_token``, so a blank cell is missing.
+    order mark dropped.  Input that cannot be read, is not UTF-8 or that
+    the CSV reader rejects (a bare carriage return in an unquoted cell, a
+    cell over ``csv.field_size_limit()``) raises ``DataError``.  Each cell
+    is stripped of surrounding whitespace once: a cell is missing when its
+    stripped text is empty or the stripped ``missing_token``, so a blank
+    cell is missing.
     Rows whose ground-truth or prediction cell is missing are rejected;
     their file line numbers are kept on the returned dataset.  Targets
     compare as numbers when every kept target cell parses as one, and
@@ -190,7 +192,13 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
                         f"{exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"input {path} is not UTF-8: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text), delimiter=config.delimiter))
+    reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a bare \r in an unquoted cell, a huge cell
+        # drop csv's hint on how to open the file: the input is read already
+        reason = str(exc).partition(" - ")[0]
+        raise DataError(f"line {reader.line_num}: {reason}") from None
     if not rows:
         raise DataError("input is empty: header row required")
     header = [name.strip() for name in rows[0]]

@@ -22,8 +22,11 @@ the cut less the dropped records' count).  The current interval always
 starts and ends on run bounds, so a shrink step whose target count is at
 least the interval's records keeps it as it is and emits nothing; such a
 step only lowers the density, with no window search.  Likewise a first
-window of the whole working sample needs no search.  The emitted
-intervals are counted on the sorted sample the scan started from.
+window of the whole working sample needs no search.  Most searches span
+only a few windows; those run in a loop over the sorted values as a
+Python list, cut along with the array, where numpy's call overhead would
+cost more than the loop.  Longer ranges are searched with numpy.  The
+emitted intervals are counted on the sorted sample the scan started from.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ __all__ = ["HpdConfig", "min_width_window", "hpd_scan"]
 
 # accuracy deltas at or below this are treated as ties (neither branch emits)
 _TIE_TOLERANCE = 1e-12
+
+# most windows a search takes in a Python loop: one window there costs about
+# 0.1 us, and a numpy search costs about 1.7 us of call overhead whatever its
+# length, so numpy wins only past some 16 windows
+_LOOP_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -57,13 +65,26 @@ class HpdConfig:
                 f"need 0 < epsilon < initial_density, got {self.epsilon}")
 
 
-def min_width_window(values: np.ndarray, m: int) -> int:
-    """Start index of the leftmost narrowest window of m consecutive values.
+def min_width_window(values: np.ndarray, bound: list[float], lo: int,
+                     hi: int, m: int) -> int:
+    """Start index of the leftmost narrowest window of m consecutive values
+    in ``values[lo:hi]``, counted from the start of ``values``.
 
-    ``values`` must be sorted ascending and hold at least ``m`` entries.
+    ``values`` must be sorted ascending, ``bound`` must be ``values`` as a
+    list, and the range must hold at least ``m`` entries.  A range of few
+    windows is searched in a loop over ``bound``, a longer one by numpy over
+    ``values``; both subtract and compare the same float64 values.
     """
-    widths = values[m - 1:] - values[: values.size - m + 1]
-    return int(widths.argmin())  # first minimum: leftmost tie wins
+    last = hi - m  # start of the last window
+    if last - lo < _LOOP_WINDOWS:
+        best, narrowest = lo, bound[lo + m - 1] - bound[lo]
+        for j in range(lo + 1, last + 1):
+            width = bound[j + m - 1] - bound[j]
+            if width < narrowest:  # strict: the leftmost tie wins
+                best, narrowest = j, width
+        return best
+    widths = values[lo + m - 1:hi] - values[lo:last + 1]
+    return lo + int(widths.argmin())  # first minimum: leftmost tie wins
 
 
 def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
@@ -106,7 +127,7 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
         density_floor = config.min_density_floor * (n / original)
         m = min(math.ceil(density * n), n)
         # a window of the whole sample is the only one: no search
-        j = min_width_window(work_v, m) if m < n else 0
+        j = min_width_window(work_v, bound, 0, n, m) if m < n else 0
         k = j + m
         lo, hi = j - behind[j], k - 1 + ahead[k - 1]
         acc = (cum[hi] - cum[lo]) / (hi - lo)
@@ -118,7 +139,7 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
             if m >= hi - lo:
                 # the window is [lo, hi) itself: same members, nothing emitted
                 continue
-            j = lo + min_width_window(work_v[lo:hi], m)
+            j = min_width_window(work_v, bound, lo, hi, m)
             k = j + m
             inner_lo, inner_hi = j - behind[j], k - 1 + ahead[k - 1]
             inner_acc = (cum[inner_hi] - cum[inner_lo]) / (inner_hi - inner_lo)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sliceminer.cli import main
-from sliceminer.hpd import min_width_window
+from sliceminer.hpd import _LOOP_WINDOWS, min_width_window
 from sliceminer.model import Interval
 from sliceminer.oracle import (exact_hypergeom_pvalue,
                                exhaustive_shortest_interval)
@@ -116,21 +116,25 @@ def test_criterion_3_interval_minimality():
     rng = np.random.default_rng(3)
     proportions = [round(0.1 * i, 1) for i in range(1, 11)]
     mismatches = 0
+    looped = 0  # searches of at most _LOOP_WINDOWS windows take the loop
     for _ in range(500):
         size = int(rng.integers(1, 201))
         values = np.sort(rng.uniform(-1e3, 1e3, size))
+        bound = values.tolist()
         for proportion in proportions:
             # the window hpd_scan searches for a share of the records
             m = min(size, max(1, math.ceil(proportion * size)))
-            i = min_width_window(values, m)
-            fast = Interval(float(values[i]), float(values[i + m - 1]))
+            i = min_width_window(values, bound, 0, size, m)
+            looped += size - m < _LOOP_WINDOWS
+            fast = Interval(bound[i], bound[i + m - 1])
             slow = exhaustive_shortest_interval(values, proportion)
             if fast != slow:
                 mismatches += 1
     elapsed = time.monotonic() - start
     check("3 window search equals exhaustive scan incl. tie-break",
-          mismatches == 0 and elapsed < 10.0,
-          f"5000 scans, {mismatches} mismatches, {elapsed:.2f} s")
+          mismatches == 0 and 0 < looped < 5000 and elapsed < 10.0,
+          f"5000 scans ({looped} loop, {5000 - looped} numpy), "
+          f"{mismatches} mismatches, {elapsed:.2f} s")
 
 
 # -------------------------------------------------------------------------

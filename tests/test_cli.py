@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import os
@@ -295,6 +296,19 @@ class TestInputOutputErrors:
         assert b"Traceback" not in proc.stderr
         assert b"input - is not UTF-8" in proc.stderr
 
+    @pytest.mark.parametrize("text, reason", [
+        ("f,label,pred\ngr\ray,1,1\nb,0,1\n",
+         "line 2: new-line character seen in unquoted field"),
+        ("f,label,pred\na,1,1\n" + "x" * (csv.field_size_limit() + 1)
+         + ",1,1\n", "line 3: field larger than field limit"),
+    ], ids=["bare-carriage-return", "oversized-cell"])
+    def test_malformed_csv_is_data_error(self, tmp_path, text, reason):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        proc = run_child([str(path)])
+        assert_clean_exit(proc, 2, f"sliceminer: data error: {reason}")
+        assert len(proc.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_is_usage_error(self, mixed_csv, tmp_path, target):
         out = str(tmp_path / target)
@@ -471,6 +485,7 @@ class TestHelpAndSelfCheck:
         assert "far tail (2000,1700,300,230)" in out
         # the interval check runs the window search hpd_scan calls
         assert "window search [0,1,2,3,10]@0.6 is [0,2]: PASS" in out
+        assert "window search 0..39@0.5 is [0,19]: PASS" in out
 
     def test_self_check_flag(self, capsys):
         assert main(["--self-check"]) == 0

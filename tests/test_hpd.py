@@ -139,7 +139,7 @@ class TestHpdScan:
 
 def reference_shortest_interval(values, proportion):
     m = min(values.size, max(1, math.ceil(proportion * values.size)))
-    i = min_width_window(values, m)
+    i = min_width_window(values, values.tolist(), 0, values.size, m)
     return Interval(float(values[i]), float(values[i + m - 1]))
 
 
@@ -149,7 +149,7 @@ def reference_shrink_step(values, current, target_density):
     hi = int(np.searchsorted(values, current.high, side="right"))
     inside = values[lo:hi]
     m = min(m, inside.size)
-    j = min_width_window(inside, m)
+    j = min_width_window(inside, inside.tolist(), 0, inside.size, m)
     inner = Interval(float(inside[j]), float(inside[j + m - 1]))
     left = inside[:j]
     right = inside[j + m:]
@@ -338,8 +338,9 @@ class TestWindowSearches:
         with mock.patch.object(hpd, "min_width_window",
                                wraps=min_width_window) as spy:
             hpd_scan(values, correct, HpdConfig())
-        assert all(call.args[1] < call.args[0].size
-                   for call in spy.call_args_list)
+        for call in spy.call_args_list:
+            _, _, lo, hi, m = call.args
+            assert m < hi - lo  # m is below the searched range's length
         moving, every = self.expected(values, correct, HpdConfig())
         assert spy.call_count == moving < every
 
@@ -356,6 +357,89 @@ class TestWindowSearches:
                 assert calls == moving
                 skipped += every - moving
         assert skipped > 0
+
+
+class Reads:
+    """A sequence that counts the reads of its items."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.items[key]
+
+
+LOOP_WINDOWS = hpd._LOOP_WINDOWS
+
+
+@st.composite
+def window_ranges(draw):
+    """A sorted sample and a range of it with a window size: exactly N and
+    N + 1 windows (N the loop's most) among others, values on a coarse grid
+    (equal widths tie) with -0.0 beside 0.0."""
+    windows = draw(st.one_of(st.sampled_from([LOOP_WINDOWS, LOOP_WINDOWS + 1]),
+                             st.integers(1, 3 * LOOP_WINDOWS)))
+    m = draw(st.integers(1, 40))
+    before, after = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    size = before + windows + m - 1 + after
+    # widths between the two largest magnitudes overflow to inf
+    grid = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, 1e308,
+                            -1e308])
+    values = sorted(draw(st.lists(grid, min_size=size, max_size=size)))
+    return values, before, before + windows + m - 1, m
+
+
+class TestWindowBranches:
+    """A range of at most ``_LOOP_WINDOWS`` windows is searched in a loop over
+    the list, a longer one by numpy over the array; both give one index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_ranges())
+    def test_loop_and_numpy_give_one_index(self, case):
+        values, lo, hi, m = case
+        array = np.array(values)
+        with np.errstate(over="ignore"):  # an inf width is a case here
+            got = min_width_window(array, values, lo, hi, m)
+            with mock.patch.object(hpd, "_LOOP_WINDOWS", hi - lo):
+                loop = min_width_window(array, values, lo, hi, m)
+            with mock.patch.object(hpd, "_LOOP_WINDOWS", 0):
+                vector = min_width_window(array, values, lo, hi, m)
+        # the leftmost narrowest window: min keeps the first of equal keys
+        want = min(range(lo, hi - m + 1),
+                   key=lambda j: values[j + m - 1] - values[j])
+        assert got == loop == vector == want
+
+    @pytest.mark.parametrize("windows, loop", [(LOOP_WINDOWS, True),
+                                               (LOOP_WINDOWS + 1, False)])
+    def test_branch_taken_at_the_crossover(self, windows, loop):
+        values = [float(x) for x in range(windows + 10)]
+        array, bound = Reads(np.array(values)), Reads(values)
+        lo, m = 3, 5
+        # equal widths everywhere: the first window of the range wins
+        assert min_width_window(array, bound, lo, lo + windows + m - 1,
+                                m) == lo
+        assert (bound.reads > 0, array.reads > 0) == (loop, not loop)
+
+    def test_large_ranges_take_numpy(self):
+        # counts, not timing: a loop over thousands of windows is slower
+        # than one numpy call
+        searches = []  # (windows, read the list, read the array)
+
+        def observed(array, bound, lo, hi, m):
+            array, bound = Reads(array), Reads(bound)
+            j = min_width_window(array, bound, lo, hi, m)
+            searches.append((hi - lo - m + 1, bound.reads > 0,
+                             array.reads > 0))
+            return j
+
+        values, correct = tied_sample(20_000, seed=1)
+        with mock.patch.object(hpd, "min_width_window", observed):
+            hpd_scan(values, correct, HpdConfig())
+        for windows, read_list, read_array in searches:
+            assert (read_list, read_array) == (
+                (False, True) if windows > LOOP_WINDOWS else (True, False))
+        assert any(windows > LOOP_WINDOWS for windows, _, _ in searches)
 
 
 class TestHpdConfig:
