@@ -170,7 +170,8 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     cell over ``csv.field_size_limit()``) raises ``DataError``.  Each cell
     is stripped of surrounding whitespace once: a cell is missing when its
     stripped text is empty or the stripped ``missing_token``, so a blank
-    cell is missing.
+    cell is missing.  A blank line holds no row and is skipped; line numbers
+    count it all the same.  Any other row needs one cell per header column.
     Rows whose ground-truth or prediction cell is missing are rejected;
     their file line numbers are kept on the returned dataset.  Targets
     compare as numbers when every kept target cell parses as one, and
@@ -217,6 +218,8 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     targets: list[tuple] = []
     rejected: list[int] = []
     for line_no, row in enumerate(rows[1:], start=2):
+        if not row:  # a blank line: skipped, as csv.DictReader skips it
+            continue
         if len(row) != len(header):
             raise DataError(
                 f"line {line_no}: expected {len(header)} fields, got {len(row)}")

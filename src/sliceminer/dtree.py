@@ -175,10 +175,8 @@ def extract_slices(tree: TreeNode, features: Sequence[Feature],
                 # a node's rows miss no tree feature, so every value is a
                 # code; bincount lists them ascending, and np.unique would
                 # import numpy.ma (numpy 2.x)
-                codes = tuple(np.flatnonzero(
-                    np.bincount(member_vals.astype(np.intp))).tolist())
-                predicates[feature.name] = ValueSet(
-                    codes=codes, labels=tuple(feature.labels[c] for c in codes))
+                predicates[feature.name] = ValueSet(tuple(np.flatnonzero(
+                    np.bincount(member_vals.astype(np.intp))).tolist()))
             else:
                 predicates[feature.name] = Interval(float(member_vals.min()),
                                                     float(member_vals.max()))

@@ -73,7 +73,10 @@ def min_width_window(values: np.ndarray, bound: list[float], lo: int,
     ``values`` must be sorted ascending, ``bound`` must be ``values`` as a
     list, and the range must hold at least ``m`` entries.  A range of few
     windows is searched in a loop over ``bound``, a longer one by numpy over
-    ``values``; both subtract and compare the same float64 values.
+    ``values``; both subtract and compare the same float64 values.  A window
+    whose ends lie more than the largest float64 apart has width ``inf`` in
+    both, and among tied ``inf`` widths both keep the leftmost; numpy would
+    warn of that overflow, so ``hpd_scan`` silences it around its search.
     """
     last = hi - m  # start of the last window
     if last - lo < _LOOP_WINDOWS:
@@ -118,45 +121,50 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
     work_v, work_cum = ranked, prefix
     out: list[Interval] = []
 
-    while work_v.size >= 2 and work_v.size >= stop_records:
-        n = work_v.size
-        cum = work_cum.tolist()
+    # a window wider than the float64 range is inf wide, of which numpy warns
+    with np.errstate(over="ignore"):
+        while work_v.size >= 2 and work_v.size >= stop_records:
+            n = work_v.size
+            cum = work_cum.tolist()
 
-        density = config.initial_density
-        # the shrink budget scales with how much of the original sample is left
-        density_floor = config.min_density_floor * (n / original)
-        m = min(math.ceil(density * n), n)
-        # a window of the whole sample is the only one: no search
-        j = min_width_window(work_v, bound, 0, n, m) if m < n else 0
-        k = j + m
-        lo, hi = j - behind[j], k - 1 + ahead[k - 1]
-        acc = (cum[hi] - cum[lo]) / (hi - lo)
-        while True:
-            density -= config.epsilon
-            if density < density_floor:
-                break
-            m = math.ceil(density * n)
-            if m >= hi - lo:
-                # the window is [lo, hi) itself: same members, nothing emitted
-                continue
-            j = min_width_window(work_v, bound, lo, hi, m)
+            density = config.initial_density
+            # the shrink budget scales with how much of the original sample
+            # is left
+            density_floor = config.min_density_floor * (n / original)
+            m = min(math.ceil(density * n), n)
+            # a window of the whole sample is the only one: no search
+            j = min_width_window(work_v, bound, 0, n, m) if m < n else 0
             k = j + m
-            inner_lo, inner_hi = j - behind[j], k - 1 + ahead[k - 1]
-            inner_acc = (cum[inner_hi] - cum[inner_lo]) / (inner_hi - inner_lo)
-            if inner_acc < acc - _TIE_TOLERANCE:
-                out.append(Interval(bound[j], bound[k - 1]))
-            elif inner_acc > acc + _TIE_TOLERANCE:
-                if lo < j:
-                    out.append(Interval(bound[lo], bound[j - 1]))
-                if k < hi:
-                    out.append(Interval(bound[k], bound[hi - 1]))
-            lo, hi, acc = inner_lo, inner_hi, inner_acc
-        if lo == 0 and hi == n:
-            break
-        work_v = np.concatenate((work_v[:lo], work_v[hi:]))
-        work_cum = np.concatenate((work_cum[:lo + 1],
-                                   work_cum[hi + 1:] - (cum[hi] - cum[lo])))
-        del bound[lo:hi], behind[lo:hi], ahead[lo:hi]
+            lo, hi = j - behind[j], k - 1 + ahead[k - 1]
+            acc = (cum[hi] - cum[lo]) / (hi - lo)
+            while True:
+                density -= config.epsilon
+                if density < density_floor:
+                    break
+                m = math.ceil(density * n)
+                if m >= hi - lo:
+                    # the window is [lo, hi) itself: same members, nothing
+                    # emitted
+                    continue
+                j = min_width_window(work_v, bound, lo, hi, m)
+                k = j + m
+                inner_lo, inner_hi = j - behind[j], k - 1 + ahead[k - 1]
+                inner_acc = ((cum[inner_hi] - cum[inner_lo])
+                             / (inner_hi - inner_lo))
+                if inner_acc < acc - _TIE_TOLERANCE:
+                    out.append(Interval(bound[j], bound[k - 1]))
+                elif inner_acc > acc + _TIE_TOLERANCE:
+                    if lo < j:
+                        out.append(Interval(bound[lo], bound[j - 1]))
+                    if k < hi:
+                        out.append(Interval(bound[k], bound[hi - 1]))
+                lo, hi, acc = inner_lo, inner_hi, inner_acc
+            if lo == 0 and hi == n:
+                break
+            work_v = np.concatenate((work_v[:lo], work_v[hi:]))
+            work_cum = np.concatenate(
+                (work_cum[:lo + 1], work_cum[hi + 1:] - (cum[hi] - cum[lo])))
+            del bound[lo:hi], behind[lo:hi], ahead[lo:hi]
     if not out:
         return [], [], []
     # count each interval's members on the sorted sample the scan started from

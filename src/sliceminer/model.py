@@ -13,6 +13,9 @@ sorts, and checks the order bound itself; ``slicer._condition``
 inserts a name the seed lacks into the seed's sorted predicates, and
 checks the order bound once per call; ``slicer.evaluate_slice`` and
 ``slicer.run_analysis`` build stats whose correct count counts members.
+
+A category predicate, ``ValueSet``, is its codes alone: the labels they
+stand for are kept once, on the feature (``dataset.Feature.labels``).
 """
 
 from __future__ import annotations
@@ -52,16 +55,13 @@ class Heuristic(str, Enum):
 
 @dataclass(frozen=True)
 class ValueSet:
-    """Set of category codes with their display labels, sorted by code."""
+    """Category codes, strictly ascending; their labels are the feature's."""
 
     codes: tuple[int, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         if not self.codes:
             raise ValueError("ValueSet needs at least one code")
-        if len(self.codes) != len(self.labels):
-            raise ValueError("codes and labels must align")
         if any(b <= a for a, b in zip(self.codes, self.codes[1:])):
             raise ValueError("codes must be strictly ascending")
 
@@ -104,9 +104,8 @@ class Slice(_SliceFields):
     def predicate_key(self) -> tuple:
         """Canonical key identifying the predicate, ignoring provenance.
 
-        It is the predicates tuple itself: within one dataset a category
-        set's labels follow from its codes, so nothing needs building and
-        no slice holds a second copy."""
+        It is the predicates tuple itself: a category set is its codes, so
+        nothing needs building and no slice holds a second copy."""
         return self.predicates
 
 

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to validate the fast paths.
 
-These are deliberately slow but exact: integer binomial coefficients,
-exhaustive window scans, exhaustive slice enumeration.  The test suite and
-``sliceminer --self-check`` compare them against the production code.
+These are deliberately slow but exact: integer binomial coefficients and
+exhaustive window scans.  The test suite and ``sliceminer --self-check``
+compare them against the production code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .model import Interval
 __all__ = [
     "exact_hypergeom_pvalue",
     "exhaustive_shortest_interval",
-    "exhaustive_categorical_slices",
 ]
 
 _MAX_POPULATION = 2000
@@ -51,31 +50,3 @@ def exhaustive_shortest_interval(values, proportion: float) -> Interval:
             best_width = width
             best_i = i
     return Interval(vals[best_i], vals[best_i + m - 1])
-
-
-def exhaustive_categorical_slices(dataset, filters):
-    """Every (categorical feature, value) slice that passes all three filters.
-
-    Returns ``{(feature, label)}`` so the result can be compared for set
-    equality with the pipeline's one-way categorical output.
-    """
-    population = dataset.n_records
-    successes = dataset.n_correct
-    reported = set()
-    for name, feature in dataset.features.items():
-        if feature.kind.value != "categorical":
-            continue
-        for code, label in enumerate(feature.labels):
-            member = feature.values == code
-            n = int(member.sum())
-            if n == 0 or n < filters.min_support:
-                continue
-            k = int(dataset.correctness[member].sum())
-            if k / n > filters.perf_threshold:
-                continue
-            p = float(exact_hypergeom_pvalue(population, successes, n, k))
-            if p >= filters.p_value_max:
-                continue
-            reported.add((name, label))
-    return reported
-

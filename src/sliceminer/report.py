@@ -7,8 +7,8 @@ ensure_ascii=False)`` plus a newline; each slice entry is written from one
 template.  Markdown and CSV show performance to 3 decimals and p-values in
 scientific notation with a 2-digit significand.  Predicate strings render
 intervals as inclusive "low–high" spans over actual data values (en dash
-separator, so negative bounds stay unambiguous) and category sets as original
-labels.
+separator, so negative bounds stay unambiguous) and category sets as the
+original labels of their codes, read from the feature (``Feature.labels``).
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def render_predicate(pred: FeaturePredicate) -> str:
+def render_predicate(pred: FeaturePredicate, labels: Sequence[str]) -> str:
     """Canonical string of one feature's predicate: a label, a parenthesised
-    list of labels, or an interval span."""
+    list of ``labels`` (the feature's, in code order), or an interval span."""
     if isinstance(pred, ValueSet):
-        rendered = [_quote_label(label) for label in pred.labels]
+        rendered = [_quote_label(labels[code]) for code in pred.codes]
         if len(rendered) == 1:
             return rendered[0]
         return "(" + ", ".join(rendered) + ")"
@@ -115,14 +115,15 @@ def build_report(result: AnalysisResult, dataset: Dataset,
 
     slices = []
     referenced: dict[str, dict] = {}
-    rendered: dict[FeaturePredicate, str] = {}  # slices share predicates
+    rendered: dict[tuple, str] = {}  # per (name, pred): features share codes
     heuristic_names = {h: h.value for h in Heuristic}
     for sl, stats in result.reported:
         predicates = {}
         for name, pred in sl.predicates:
-            text = rendered.get(pred)
+            text = rendered.get((name, pred))
             if text is None:
-                text = rendered[pred] = render_predicate(pred)
+                text = rendered[name, pred] = render_predicate(
+                    pred, dataset.features[name].labels)
             predicates[name] = text
         features = list(predicates)
         slices.append({"features": features, "predicates": predicates,

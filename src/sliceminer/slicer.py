@@ -193,8 +193,7 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
         support = np.bincount(codes)
         hits = np.bincount(codes[correct[present]], minlength=support.size)
         found = np.flatnonzero(support).tolist()
-        predicates = [ValueSet(codes=(code,), labels=(feature.labels[code],))
-                      for code in found]
+        predicates = [ValueSet((code,)) for code in found]
         support, hits = support[found].tolist(), hits[found].tolist()
     else:
         predicates, support, hits = hpd.hpd_scan(values, correct, config.hpd)
@@ -210,10 +209,10 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
 def generate_one_way(dataset: Dataset, config: AnalysisConfig,
                      filters: Filters, counts: dict) -> list[Slice]:
     """Single-feature candidates that pass the support and performance
-    gates: conditioning on the whole dataset, which yields every categorical
-    value (labels come from present values only) and the HPD scan over every
-    continuous feature.  Each candidate's (support, correct) goes into
-    ``counts`` under its predicate key."""
+    gates: conditioning on the whole dataset, which yields every present
+    categorical value and the HPD scan over every continuous feature.  Each
+    candidate's (support, correct) goes into ``counts`` under its predicate
+    key."""
     return [sl for name in dataset.feature_names
             for sl in _condition(dataset, None, (), name, config, filters,
                                  counts)]

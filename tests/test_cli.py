@@ -275,6 +275,56 @@ class TestGap:
         assert "not found" not in proc.stderr
 
 
+class TestBlankAndRaggedRows:
+    """A blank line holds no row and is skipped, as ``csv.DictReader``
+    skips it, without moving later line numbers; any other row needs one
+    field per column."""
+
+    @pytest.mark.parametrize("after, insert, code, message", [
+        (401, "\n", 0, None),
+        (100, "\n", 0, None),
+        (100, "\na,0.5,1\n", 2, "line 102: expected 4 fields, got 3"),
+        (100, "a,0.5,1\n", 2, "line 101: expected 4 fields, got 3"),
+        (100, "a,0.5,1,1,1\n", 2, "line 101: expected 4 fields, got 5"),
+    ], ids=["trailing-blank", "blank-in-middle", "blank-then-short-row",
+            "short-row", "long-row"])
+    def test_rows(self, mixed_csv, tmp_path, capsys, after, insert, code,
+                  message):
+        flags = ["-g", "label", "-p", "pred"]
+        assert main([mixed_csv, *flags]) == 0
+        plain = capsys.readouterr().out
+        with open(mixed_csv, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 401  # header and 400 rows
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(lines[:after]) + insert
+                        + "".join(lines[after:]), encoding="utf-8")
+        assert main([str(path), *flags]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out == plain
+        else:
+            assert f"sliceminer: data error: {message}" in err
+
+
+class TestHugeValues:
+    def test_no_overflow_warning(self, tmp_path):
+        # window widths between values near +-1.7e308 overflow to inf
+        rng = np.random.default_rng(4)
+        rows = [[repr(float(x)), i % 2, i % 2 if ok else 1 - i % 2]
+                for i, (x, ok) in enumerate(zip(
+                    rng.uniform(-1.0, 1.0, 400) * 1.7e308,
+                    rng.random(400) < 0.8))]
+        path = write_csv(tmp_path / "huge.csv", ["x", "label", "pred"], rows)
+        proc = run_child([path])
+        assert_clean_exit(proc, 0)
+        assert json.loads(proc.stdout)["slices"]
+        # stderr holds the CLI's own log lines and nothing else
+        assert proc.stderr.splitlines()
+        assert all(line.startswith("sliceminer: ")
+                   for line in proc.stderr.splitlines()), proc.stderr
+
+
 class TestInputOutputErrors:
     def test_directory_input_is_data_error(self, tmp_path):
         proc = run_child([str(tmp_path)])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sliceminer.dataset import Dataset, Feature, FeatureKind
 from sliceminer.dtree import best_split, extract_slices, fit_tree
 from sliceminer.model import Filters, Interval, ValueSet
+from sliceminer.report import render_predicate
 from sliceminer.slicer import evaluate_slice
 
 
@@ -279,7 +280,8 @@ class TestExtractSlices:
                 if isinstance(pred, ValueSet) and pred.codes == (0, 1)]
         assert weak, "adjacent codes not aggregated into one value set"
         (_, pred), = weak[0].predicates
-        assert pred.labels == ("red", "green")
+        # the set holds codes; its labels are read through the feature
+        assert render_predicate(pred, features[0].labels) == "(red, green)"
 
     def test_conjunction_merges_repeated_feature(self):
         # false band in the middle of one feature forces two cuts on it

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceminer import hpd
@@ -373,6 +373,13 @@ class Reads:
 LOOP_WINDOWS = hpd._LOOP_WINDOWS
 
 
+# a window from the 10 negatives to the positives is wider than the float64
+# range: in OVERFLOWING[:20] every window of 11 is inf wide and the first
+# wins; in the whole list the narrowest lies among the positives
+OVERFLOWING = [-1.7e308 + 0.08e308 * i for i in range(10)] + [
+    0.9e308 + 0.025e308 * i for i in range(30)]
+
+
 @st.composite
 def window_ranges(draw):
     """A sorted sample and a range of it with a window size: exactly N and
@@ -396,6 +403,8 @@ class TestWindowBranches:
 
     @settings(max_examples=300, deadline=None)
     @given(window_ranges())
+    @example((OVERFLOWING[:20], 0, 20, 11))
+    @example((OVERFLOWING, 0, 40, 11))
     def test_loop_and_numpy_give_one_index(self, case):
         values, lo, hi, m = case
         array = np.array(values)

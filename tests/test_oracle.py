@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from sliceminer.model import Filters, Interval
+from sliceminer.model import Interval
 from sliceminer.oracle import (exact_hypergeom_pvalue,
-                               exhaustive_categorical_slices,
                                exhaustive_shortest_interval)
-from tests.conftest import dataset_from_columns
 
 
 class TestExactPValue:
@@ -43,33 +40,3 @@ class TestExhaustiveInterval:
 
     def test_single_value(self):
         assert exhaustive_shortest_interval([7], 0.5) == Interval(7.0, 7.0)
-
-
-class TestExhaustiveCategorical:
-    def test_planted_value_found(self, tmp_path):
-        rng = np.random.default_rng(11)
-        n = 200
-        f1 = rng.integers(0, 2, n)
-        f2 = np.where(np.arange(n) < 40, "bad", "good")
-        correct = np.ones(n, dtype=bool)
-        correct[:40] = False  # every "bad" row mispredicted
-        ds = dataset_from_columns(
-            tmp_path, {"f1": f1.tolist(), "f2": f2.tolist()}, correct.tolist())
-        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
-        assert exhaustive_categorical_slices(ds, filters) == {("f2", "bad")}
-
-    def test_all_correct_dataset_empty(self, tmp_path):
-        ds = dataset_from_columns(
-            tmp_path, {"f1": ["a", "b"] * 30}, [True] * 60)
-        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
-        assert exhaustive_categorical_slices(ds, filters) == set()
-
-    def test_disabled_filters_report_everything(self, tmp_path):
-        # every (feature, value) slice is half wrong, so none has p-value 1
-        ds = dataset_from_columns(
-            tmp_path,
-            {"f1": ["a"] * 30 + ["b"] * 30, "f2": ["x", "y"] * 30},
-            [True, False] * 15 + [False, True] * 15)
-        filters = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.999999)
-        got = exhaustive_categorical_slices(ds, filters)
-        assert got == {("f1", "a"), ("f1", "b"), ("f2", "x"), ("f2", "y")}

@@ -47,7 +47,7 @@ class TestSummarizeSupports:
                           p_value=0.01)
 
     def test_two_element_group(self):
-        sl = make_slice({"f": ValueSet((0,), ("a",))}, Heuristic.HPD)
+        sl = make_slice({"f": ValueSet((0,))}, Heuristic.HPD)
         groups = summarize_supports([(sl, self.stats(3)), (sl, self.stats(80))])
         got = groups[("hpd", 1)]
         assert (got["min"], got["max"]) == (3, 80)
@@ -55,7 +55,7 @@ class TestSummarizeSupports:
         assert got["std"] == pytest.approx(38.5)
 
     def test_single_slice(self):
-        sl = make_slice({"f": ValueSet((0,), ("a",))}, Heuristic.DT)
+        sl = make_slice({"f": ValueSet((0,))}, Heuristic.DT)
         got = summarize_supports([(sl, self.stats(17))])[("dt", 1)]
         assert got == {"heuristic": "dt", "order": 1, "count": 1, "min": 17,
                        "avg": 17, "max": 17, "std": 0.0}
@@ -64,9 +64,9 @@ class TestSummarizeSupports:
         assert summarize_supports([]) == {}
 
     def test_groups_are_separate(self):
-        a = make_slice({"f": ValueSet((0,), ("a",))}, Heuristic.HPD)
-        b = make_slice({"f": ValueSet((0,), ("a",)),
-                        "g": ValueSet((0,), ("b",))}, Heuristic.HPD)
+        a = make_slice({"f": ValueSet((0,))}, Heuristic.HPD)
+        b = make_slice({"f": ValueSet((0,)),
+                        "g": ValueSet((0,))}, Heuristic.HPD)
         groups = summarize_supports([(a, self.stats(10)), (b, self.stats(20))])
         assert set(groups) == {("hpd", 1), ("hpd", 2)}
 
@@ -112,8 +112,7 @@ def parse_predicate(text, kind, labels=()):
             codes = sorted(code_of[label] for label in _split_labels(body))
         except KeyError as exc:
             raise ValueError(f"unknown category label {exc.args[0]!r}") from None
-        return ValueSet(codes=tuple(codes),
-                        labels=tuple(labels[c] for c in codes))
+        return ValueSet(tuple(codes))
     low_text, dash, high_text = text.partition("–")
     if not dash:
         raise ValueError(f"malformed interval span: {text!r}")
@@ -128,7 +127,7 @@ def parse_predicate(text, kind, labels=()):
 class TestPredicateStrings:
     def test_interval_union_round_trip(self):
         pred = Interval(-0.633, -0.2)
-        text = render_predicate(pred)
+        text = render_predicate(pred, ())
         assert text == "-0.633–-0.2"
         assert parse_predicate(text, FeatureKind.CONTINUOUS) == pred
 
@@ -145,21 +144,20 @@ class TestPredicateStrings:
 
     def test_value_set_round_trip(self):
         labels = ("2", "3", "4", "5")
-        pred = ValueSet((1, 2, 3), ("3", "4", "5"))
-        text = render_predicate(pred)
+        pred = ValueSet((1, 2, 3))
+        text = render_predicate(pred, labels)
         assert text == "(3, 4, 5)"
-        assert parse_predicate(text, FeatureKind.CATEGORICAL,
-                               ("2", "3", "4", "5")) == pred
+        assert parse_predicate(text, FeatureKind.CATEGORICAL, labels) == pred
 
     def test_single_value_renders_bare(self):
-        pred = ValueSet((0,), ("5",))
-        assert render_predicate(pred) == "5"
+        pred = ValueSet((0,))
+        assert render_predicate(pred, ("5",)) == "5"
         assert parse_predicate("5", FeatureKind.CATEGORICAL, ("5",)) == pred
 
     def test_awkward_labels_survive(self):
         labels = ('plain', 'with, comma', 'quo"te', ' padded ', 'uni–dash')
-        pred = ValueSet(tuple(range(5)), labels)
-        text = render_predicate(pred)
+        pred = ValueSet(tuple(range(5)))
+        text = render_predicate(pred, labels)
         assert parse_predicate(text, FeatureKind.CATEGORICAL, labels) == pred
 
     @settings(max_examples=120, deadline=None)
@@ -167,7 +165,7 @@ class TestPredicateStrings:
                     max_size=2))
     def test_random_interval_unions_round_trip(self, bounds):
         pred = Interval(*sorted(bounds))
-        assert parse_predicate(render_predicate(pred),
+        assert parse_predicate(render_predicate(pred, ()),
                                FeatureKind.CONTINUOUS) == pred
 
     def test_pipeline_predicates_round_trip_membership(self, tmp_path):
@@ -175,8 +173,8 @@ class TestPredicateStrings:
         assert result.reported
         for sl, _ in result.reported[:40]:
             for name, pred in sl.predicates:
-                text = render_predicate(pred)
                 feature = ds.features[name]
+                text = render_predicate(pred, feature.labels)
                 back = parse_predicate(text, feature.kind, feature.labels)
                 rebuilt = make_slice(
                     {**dict(sl.predicates), name: back}, sl.heuristic)
@@ -286,18 +284,38 @@ def test_each_distinct_predicate_rendered_once(tmp_path, monkeypatch):
     calls = []
     render_one = report.render_predicate
 
-    def counting(pred):
-        calls.append(pred)
-        return render_one(pred)
+    def counting(pred, labels):
+        calls.append((pred, labels))
+        return render_one(pred, labels)
 
     monkeypatch.setattr(report, "render_predicate", counting)
     doc = build_report(result, ds)
-    distinct = {pred for sl, _ in result.reported for _, pred in sl.predicates}
+    distinct = {(pred, ds.features[name].labels)
+                for sl, _ in result.reported for name, pred in sl.predicates}
     assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
     assert sum(len(sl.predicates) for sl, _ in result.reported) > len(distinct)
     assert [row["predicates"] for row in doc["slices"]] == [
-        {name: render_one(pred) for name, pred in sl.predicates}
+        {name: render_one(pred, ds.features[name].labels)
+         for name, pred in sl.predicates}
         for sl, _ in result.reported]
+
+
+def test_features_sharing_codes_render_their_own_labels(tmp_path):
+    # "a" and "x" are code 0 of their features and hold the same weak rows,
+    # so both one-way slices are ValueSet((0,)); each renders its own label
+    n = 200
+    weak = [i < 50 for i in range(n)]
+    ds = dataset_from_columns(
+        tmp_path, {"f1": ["a" if w else "b" for w in weak],
+                   "f2": ["x" if w else "y" for w in weak]},
+        [not w and i % 10 != 0 for i, w in enumerate(weak)])
+    result = run_analysis(ds, AnalysisConfig(
+        heuristics=frozenset({Heuristic.CATEGORICAL}), max_order=1))
+    preds = [pred for sl, _ in result.reported for _, pred in sl.predicates]
+    assert preds == [ValueSet((0,)), ValueSet((0,))]
+    doc = build_report(result, ds)
+    rendered = sorted(list(row["predicates"].items()) for row in doc["slices"])
+    assert rendered == [[("f1", "a")], [("f2", "x")]]
 
 
 def table7_style_report():

@@ -17,7 +17,7 @@ from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
 from sliceminer.hpd import HpdConfig
 from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
                               ValueSet, make_slice)
-from sliceminer.oracle import exhaustive_categorical_slices
+from sliceminer.oracle import exact_hypergeom_pvalue
 from sliceminer.slicer import (AnalysisConfig, _split_around, evaluate_slice,
                                filter_and_rank, generate_higher_order,
                                generate_one_way, membership, min_support,
@@ -104,7 +104,7 @@ class TestEvaluateSlice:
         ds = statlog_like(tmp_path)
         labels = ds.features["credithistory"].labels
         code = labels.index("5")
-        sl = make_slice({"credithistory": ValueSet((code,), ("5",))},
+        sl = make_slice({"credithistory": ValueSet((code,))},
                         Heuristic.CATEGORICAL)
         stats = evaluate_slice(ds, sl)
         assert (stats.support, stats.correct) == (21, 14)
@@ -121,7 +121,7 @@ class TestEvaluateSlice:
 
     def test_unknown_feature_rejected(self, tmp_path):
         ds = statlog_like(tmp_path)
-        sl = make_slice({"ghost": ValueSet((0,), ("x",))}, Heuristic.CATEGORICAL)
+        sl = make_slice({"ghost": ValueSet((0,))}, Heuristic.CATEGORICAL)
         with pytest.raises(ValueError):
             evaluate_slice(ds, sl)
 
@@ -152,7 +152,9 @@ class TestGenerateOneWay:
         filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
         counts = {}
         out = generate_one_way(ds, AnalysisConfig(), filters, counts)
-        assert [dict(sl.predicates)["f"].labels for sl in out] == [("b",)]
+        labels = ds.features["f"].labels
+        assert [labels[code] for sl in out
+                for code in dict(sl.predicates)["f"].codes] == ["b"]
         assert counts == {out[0].predicate_key(): (20, 0)}
 
     def test_planted_band_found_by_interval_scan(self, tmp_path):
@@ -192,7 +194,7 @@ class TestGenerateHigherOrder:
     def test_single_feature_dataset_yields_nothing(self, tmp_path):
         ds = dataset_from_columns(
             tmp_path, {"only": [0, 1] * 30}, [True, False] * 30)
-        seed = make_slice({"only": ValueSet((0,), ("0",))}, Heuristic.CATEGORICAL)
+        seed = make_slice({"only": ValueSet((0,))}, Heuristic.CATEGORICAL)
         filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
         out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters, {})
         assert out == []
@@ -200,7 +202,7 @@ class TestGenerateHigherOrder:
     def test_seed_of_order_three_rejected(self, tmp_path):
         ds = dataset_from_columns(
             tmp_path, {name: [0, 1] * 30 for name in "abcd"}, [True] * 60)
-        seed = make_slice({name: ValueSet((0,), ("0",)) for name in "abc"},
+        seed = make_slice({name: ValueSet((0,)) for name in "abc"},
                           Heuristic.CATEGORICAL)
         with pytest.raises(ValueError, match=r"order must be 1\.\.3, got 4"):
             generate_higher_order(ds, [seed], 4, AnalysisConfig(),
@@ -235,7 +237,7 @@ class TestGenerateHigherOrder:
             {"group": group.tolist(), "x": [f"{v:.9f}" for v in x]},
             correct.tolist())
         seed = make_slice(
-            {"group": ValueSet((0,), (ds.features["group"].labels[0],))},
+            {"group": ValueSet((0,))},
             Heuristic.CATEGORICAL)
         assert ds.features["group"].labels[0] == "g"
         filters = Filters(min_support=5, perf_threshold=0.8, p_value_max=0.05)
@@ -287,7 +289,7 @@ class TestFilterAndRank:
     def test_insignificant_candidate_dropped(self, tmp_path):
         ds = statlog_like(tmp_path)
         labels = ds.features["credithistory"].labels
-        sl = make_slice({"credithistory": ValueSet((labels.index("5"),), ("5",))},
+        sl = make_slice({"credithistory": ValueSet((labels.index("5"),))},
                         Heuristic.CATEGORICAL)
         stats = evaluate_slice(ds, sl)  # p ~ 0.193
         filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
@@ -298,9 +300,9 @@ class TestFilterAndRank:
         assert filter_and_rank([], filters) == []
 
     def test_ranking_by_pvalue_then_support(self):
-        a = make_slice({"a": ValueSet((0,), ("a0",))}, Heuristic.CATEGORICAL)
-        b = make_slice({"b": ValueSet((0,), ("b0",))}, Heuristic.CATEGORICAL)
-        c = make_slice({"c": ValueSet((0,), ("c0",))}, Heuristic.CATEGORICAL)
+        a = make_slice({"a": ValueSet((0,))}, Heuristic.CATEGORICAL)
+        b = make_slice({"b": ValueSet((0,))}, Heuristic.CATEGORICAL)
+        c = make_slice({"c": ValueSet((0,))}, Heuristic.CATEGORICAL)
         evaluated = [
             (a, SliceStats(support=10, correct=1, performance=0.1, p_value=0.01)),
             (b, SliceStats(support=30, correct=3, performance=0.1, p_value=0.001)),
@@ -326,17 +328,75 @@ def random_dataset(tmp_path, seed, n=240):
         correct.tolist())
 
 
-def slice_key_set(reported) -> set:
+def exhaustive_categorical_slices(dataset, filters):
+    """Every (categorical feature, value) slice that passes all three
+    filters, by brute force with exact p-values.
+
+    Returns ``{(feature, label)}`` so the result can be compared for set
+    equality with the pipeline's one-way categorical output.
+    """
+    population = dataset.n_records
+    successes = dataset.n_correct
+    reported = set()
+    for name, feature in dataset.features.items():
+        if feature.kind is not FeatureKind.CATEGORICAL:
+            continue
+        for code, label in enumerate(feature.labels):
+            member = feature.values == code
+            n = int(member.sum())
+            if n == 0 or n < filters.min_support:
+                continue
+            k = int(dataset.correctness[member].sum())
+            if k / n > filters.perf_threshold:
+                continue
+            p = float(exact_hypergeom_pvalue(population, successes, n, k))
+            if p >= filters.p_value_max:
+                continue
+            reported.add((name, label))
+    return reported
+
+
+class TestExhaustiveCategorical:
+    def test_planted_value_found(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 200
+        f1 = rng.integers(0, 2, n)
+        f2 = np.where(np.arange(n) < 40, "bad", "good")
+        correct = np.ones(n, dtype=bool)
+        correct[:40] = False  # every "bad" row mispredicted
+        ds = dataset_from_columns(
+            tmp_path, {"f1": f1.tolist(), "f2": f2.tolist()}, correct.tolist())
+        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
+        assert exhaustive_categorical_slices(ds, filters) == {("f2", "bad")}
+
+    def test_all_correct_dataset_empty(self, tmp_path):
+        ds = dataset_from_columns(
+            tmp_path, {"f1": ["a", "b"] * 30}, [True] * 60)
+        filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
+        assert exhaustive_categorical_slices(ds, filters) == set()
+
+    def test_disabled_filters_report_everything(self, tmp_path):
+        # every (feature, value) slice is half wrong, so none has p-value 1
+        ds = dataset_from_columns(
+            tmp_path,
+            {"f1": ["a"] * 30 + ["b"] * 30, "f2": ["x", "y"] * 30},
+            [True, False] * 15 + [False, True] * 15)
+        filters = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.999999)
+        got = exhaustive_categorical_slices(ds, filters)
+        assert got == {("f1", "a"), ("f1", "b"), ("f2", "x"), ("f2", "y")}
+
+
+def slice_key_set(dataset, reported) -> set:
     """Project reported (Slice, SliceStats) pairs onto {(feature, label)}
     keys for 1-way categorical slices, mirroring
-    exhaustive_categorical_slices."""
+    exhaustive_categorical_slices; labels are read through the feature."""
     keys = set()
     for sl, _ in reported:
         if sl.order != 1 or sl.heuristic is not Heuristic.CATEGORICAL:
             continue
         (name, pred), = sl.predicates
         if isinstance(pred, ValueSet) and len(pred.codes) == 1:
-            keys.add((name, pred.labels[0]))
+            keys.add((name, dataset.features[name].labels[pred.codes[0]]))
     return keys
 
 
@@ -347,7 +407,7 @@ class TestRunAnalysis:
                                 max_order=1)
         result = run_analysis(ds, config)
         want = exhaustive_categorical_slices(ds, result.filters)
-        assert slice_key_set(result.reported) == want
+        assert slice_key_set(ds, result.reported) == want
 
     def test_every_reported_slice_reverifies(self, tmp_path):
         ds = random_dataset(tmp_path, 99)
@@ -626,7 +686,7 @@ def mixed_datasets(draw):
 def seed_predicate(draw, feature):
     if feature.kind is FeatureKind.CATEGORICAL:
         code = draw(st.integers(0, 3))
-        return ValueSet((code,), (feature.labels[code],))
+        return ValueSet((code,))
     low, high = sorted(draw(st.lists(CONTINUOUS_CELLS.filter(math.isfinite),
                                      min_size=2, max_size=2)))
     return Interval(low, high)
