@@ -170,14 +170,16 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     cell over ``csv.field_size_limit()``) raises ``DataError``.  Each cell
     is stripped of surrounding whitespace once: a cell is missing when its
     stripped text is empty or the stripped ``missing_token``, so a blank
-    cell is missing.  A blank line holds no row and is skipped; line numbers
-    count it all the same.  Any other row needs one cell per header column.
-    Rows whose ground-truth or prediction cell is missing are rejected;
-    their file line numbers are kept on the returned dataset.  Targets
-    compare as numbers when every kept target cell parses as one, and
-    as text otherwise.  In a column whose cells all parse as numbers,
-    non-finite ones (``nan``, ``inf``) count as missing: in a target column
-    they reject the row, in a feature column they mask the cell.
+    cell is missing.  A row is numbered by the file line it starts on, so
+    a line break inside a quoted cell counts as a line.  A blank line holds
+    no row and is skipped; line numbers count it all the same.  Any other
+    row needs one cell per header column.  Rows whose ground-truth or
+    prediction cell is missing are rejected; their file line numbers are
+    kept on the returned dataset.  Targets compare as numbers when every
+    kept target cell parses as one, and as text otherwise.  In a column
+    whose cells all parse as numbers, non-finite ones (``nan``, ``inf``)
+    count as missing: in a target column they reject the row, in a feature
+    column they mask the cell.
     """
     try:
         if path == "-":
@@ -194,8 +196,11 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     except UnicodeDecodeError as exc:
         raise DataError(f"input {path} is not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
+    rows, ends = [], []  # ends[i]: the file line that rows[i] ends on
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:  # a bare \r in an unquoted cell, a huge cell
         # drop csv's hint on how to open the file: the input is read already
         reason = str(exc).partition(" - ")[0]
@@ -217,7 +222,8 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     present: list[tuple[int, list[str]]] = []
     targets: list[tuple] = []
     rejected: list[int] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for end, row in zip(ends, rows[1:]):
+        line_no = end + 1  # a row starts on the line after the last one ends
         if not row:  # a blank line: skipped, as csv.DictReader skips it
             continue
         if len(row) != len(header):

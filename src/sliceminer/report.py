@@ -3,12 +3,14 @@
 ``build_report`` assembles the one document every format renders from; JSON
 is its canonical machine form: versioned, sorted keys, stable byte output.
 Its bytes are exactly ``json.dumps(doc, indent=2, sort_keys=True,
-ensure_ascii=False)`` plus a newline; each slice entry is written from one
-template.  Markdown and CSV show performance to 3 decimals and p-values in
-scientific notation with a 2-digit significand.  Predicate strings render
-intervals as inclusive "low–high" spans over actual data values (en dash
-separator, so negative bounds stay unambiguous) and category sets as the
-original labels of their codes, read from the feature (``Feature.labels``).
+ensure_ascii=False)`` plus a newline; each slice entry is written by one
+f-string, which reuses the previous entry's number text where its p-value
+or performance repeats.  Markdown and CSV show performance to 3 decimals
+and p-values in scientific notation with a 2-digit significand.  Predicate
+strings render intervals as inclusive "low–high" spans over actual data
+values (en dash separator, so negative bounds stay unambiguous) and
+category sets as the original labels of their codes, read from the feature
+(``Feature.labels``).
 """
 
 from __future__ import annotations
@@ -115,30 +117,29 @@ def build_report(result: AnalysisResult, dataset: Dataset,
 
     slices = []
     referenced: dict[str, dict] = {}
-    rendered: dict[tuple, str] = {}  # per (name, pred): features share codes
+    # keyed by the (name, pred) item itself: two features can share codes
+    rendered: dict[tuple, str] = {}
     heuristic_names = {h: h.value for h in Heuristic}
     for sl, stats in result.reported:
         predicates = {}
-        for name, pred in sl.predicates:
-            text = rendered.get((name, pred))
+        for item in sl.predicates:
+            text = rendered.get(item)
             if text is None:
-                text = rendered[name, pred] = render_predicate(
-                    pred, dataset.features[name].labels)
-            predicates[name] = text
-        features = list(predicates)
-        slices.append({"features": features, "predicates": predicates,
+                name, pred = item
+                feature = dataset.features[name]
+                text = rendered[item] = render_predicate(pred, feature.labels)
+                if name not in referenced:  # its first predicate rendered
+                    entry = {"kind": feature.kind.value}
+                    if feature.kind is FeatureKind.CATEGORICAL:
+                        entry["values"] = list(feature.labels)
+                    referenced[name] = entry
+            predicates[item[0]] = text
+        slices.append({"features": list(predicates), "predicates": predicates,
                        "heuristic": heuristic_names[sl.heuristic],
                        "order": sl.order,
                        "support": stats.support, "correct": stats.correct,
                        "performance": stats.performance,
                        "p_value": stats.p_value})
-        for name in features:
-            if name not in referenced:
-                feature = dataset.features[name]
-                entry = {"kind": feature.kind.value}
-                if feature.kind is FeatureKind.CATEGORICAL:
-                    entry["values"] = list(feature.labels)
-                referenced[name] = entry
 
     s = result.summary
     f = result.filters
@@ -177,22 +178,6 @@ def _fmt_pvalue(value: float) -> str:
     return f"{value:.1E}"
 
 
-# One ``slices`` entry as json.dumps(indent=2, sort_keys=True) lays it out
-# inside the top-level list; its keys are the schema's, sorted.
-_SLICE_ROW = """{
-      "correct": %d,
-      "features": [
-        %s
-      ],
-      "heuristic": %s,
-      "order": %d,
-      "p_value": %s,
-      "performance": %s,
-      "predicates": {
-        %s
-      },
-      "support": %d
-    }"""
 _SLICE_FIELDS = itemgetter("correct", "features", "heuristic", "order",
                            "p_value", "performance", "predicates", "support")
 _ITEM_SEP = ",\n        "
@@ -202,11 +187,16 @@ def _render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
     plus a newline, byte for byte.  The small sections go through
     ``json.dumps`` and are indented by replacing newlines (a JSON string
-    holds no raw newline); slice entries fill ``_SLICE_ROW`` with values
-    encoded as ``json`` encodes them: strings by its C encoder, floats by
-    ``float.__repr__`` (reported slices have finite performance and
-    p-value).  Every piece goes into one list joined once, so no large
-    intermediate string is built."""
+    holds no raw newline).  Each slice entry is one f-string laid out as
+    ``json.dumps`` lays it out inside the top-level list, its keys the
+    schema's, sorted, and its values encoded as ``json`` encodes them:
+    strings by its C encoder, floats by ``float.__repr__`` (reported
+    slices have finite performance and p-value).  Rows come ranked by
+    p-value, so equal numbers sit next to each other: a row reuses the
+    previous row's p-value and performance text when the value is equal
+    and nonzero (``0.0 == -0.0``, but they are written apart).  Every piece
+    goes into one list joined once, so no large intermediate string is
+    built."""
     encode = encode_basestring
     number = float.__repr__
     parts = []
@@ -222,16 +212,33 @@ def _render_json(report: dict) -> str:
         if not rows:
             parts.append("[]")
             continue
-        parts.append("[\n    ")
+        row_separator = "[\n    "
+        last_p = last_perf = 0.0  # zero is never reused: the first row encodes
+        p_text = perf_text = ""
         for (correct, features, heuristic, order, p_value, performance,
              predicates, support) in map(_SLICE_FIELDS, rows):
-            parts += (_SLICE_ROW % (
-                correct, _ITEM_SEP.join(map(encode, features)),
-                encode(heuristic), order, number(p_value), number(performance),
-                _ITEM_SEP.join([f"{encode(name)}: {encode(text)}"
-                                for name, text in sorted(predicates.items())]),
-                support), ",\n    ")
-        parts[-1] = "\n  ]"
+            if p_value != last_p or not p_value:
+                last_p, p_text = p_value, number(p_value)
+            if performance != last_perf or not performance:
+                last_perf, perf_text = performance, number(performance)
+            items = _ITEM_SEP.join([f"{encode(name)}: {encode(text)}"
+                                    for name, text in sorted(predicates.items())])
+            parts.append(f"""{row_separator}{{
+      "correct": {correct},
+      "features": [
+        {_ITEM_SEP.join(map(encode, features))}
+      ],
+      "heuristic": {encode(heuristic)},
+      "order": {order},
+      "p_value": {p_text},
+      "performance": {perf_text},
+      "predicates": {{
+        {items}
+      }},
+      "support": {support}
+    }}""")
+            row_separator = ",\n    "
+        parts.append("\n  ]")
     parts.append("\n}\n")
     return "".join(parts)
 

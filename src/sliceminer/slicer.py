@@ -285,16 +285,20 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     report set, with candidate/reported counts per (heuristic, order).
 
     Each round takes only predicates no earlier candidate has (first
-    occurrence wins) and is ranked once; its slices of the round's order
-    seed the next round's conditioning.  A conditioned candidate comes with
-    its counts, which passed the gates in generation.  Each round asks the
-    tails of its distinct counts in ascending support, so the masses of one
-    draw count are built once per round; the ``SliceStats`` of each
-    distinct counts is built once per run, beside its tail, and shared by
-    every conditioned slice with those counts.  A tree candidate is
-    evaluated against the dataset and gated there, so every pair a round
-    keeps is a counted candidate.  One split table serves every round's
-    trees."""
+    occurrence wins).  Its slices of the round's order that pass the
+    p-value gate seed the next round's conditioning, ranked within their
+    round.  Every round's gated pairs are ranked once per run, by one
+    ``filter_and_rank``: both sorts are stable on one key, so seeds and
+    report keep the order that ranking each round and then every round
+    together gives, and each reported slice's key is built once.  A
+    conditioned candidate comes with its counts, which passed the gates in
+    generation.  Each round asks the tails of its distinct counts in
+    ascending support, so the masses of one draw count are built once per
+    round; the ``SliceStats`` of each distinct counts is built once per
+    run, beside its tail, and shared by every conditioned slice with those
+    counts.  A tree candidate is evaluated against the dataset and gated
+    there, so every pair a round keeps is a counted candidate.  One split
+    table serves every round's trees."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
     population, successes = dataset.n_records, dataset.n_correct
@@ -303,13 +307,12 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     splits = {}
     shared = {}
     candidates = Counter()
-    reported = []
+    evaluated = []
     for order in range(1, config.max_order + 1):
         counts = {}
         if order == 1:
             generated = generate_one_way(dataset, config, filters, counts)
         else:
-            seeds = [sl for sl, _ in ranked if sl.order == order - 1]
             generated = generate_higher_order(dataset, seeds, order, config,
                                               filters, counts, splits=splits)
         fresh = []
@@ -333,10 +336,15 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
                 if filters.admits(stats.support, stats.correct):
                     this_round.append((sl, stats))
         candidates.update((sl.heuristic, sl.order) for sl, _ in this_round)
-        ranked = filter_and_rank(this_round, filters)
-        reported.extend(ranked)
-    # stable: ties keep round order, as one ranking of every round would
-    reported.sort(key=_rank)
+        evaluated += this_round
+        if order < config.max_order:
+            seeds = [sl for sl, _ in sorted(
+                (pair for pair in this_round if pair[0].order == order
+                 and pair[1].p_value < filters.p_value_max), key=_rank)]
+    # the last round's working lists would otherwise outlive it into the
+    # ranking, whose sort keys set the run's peak memory
+    del generated, counts, fresh, this_round
+    reported = filter_and_rank(evaluated, filters)
 
     return AnalysisResult(
         summary=summary, filters=filters, reported=tuple(reported),

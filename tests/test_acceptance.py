@@ -331,7 +331,7 @@ def test_criterion_6_doubling_monotonicity():
 # 7. Determinism across runs
 # -------------------------------------------------------------------------
 
-def test_criterion_7_worker_determinism(planted, tmp_path):
+def test_criterion_7_run_determinism(planted, tmp_path):
     run_cli_json(planted["path"], tmp_path / "first.json")
     run_cli_json(planted["path"], tmp_path / "second.json")
     first = (tmp_path / "first.json").read_bytes()

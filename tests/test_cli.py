@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestStdoutBytes:
 
 class TestStdinAndEnv:
     def test_stdin_input(self, mixed_csv):
-        text = open(mixed_csv).read()
+        text = Path(mixed_csv).read_text()
         proc = subprocess.run(
             [sys.executable, "-m", "sliceminer.cli", "-", "-g", "label",
              "-p", "pred"],
@@ -306,6 +307,20 @@ class TestBlankAndRaggedRows:
         else:
             assert f"sliceminer: data error: {message}" in err
 
+    def test_quoted_line_break_counts_as_a_line(self, tmp_path, capsys):
+        # rows are numbered by the file line they start on
+        flags = ["-g", "label", "-p", "pred"]
+        path = tmp_path / "broken.csv"
+        path.write_text('f,label,pred\n"a\nb",1,1\nc,0,0\nc,1\n',
+                        encoding="utf-8")
+        assert main([str(path), *flags]) == 2
+        assert ("sliceminer: data error: line 5: expected 3 fields, got 2"
+                in capsys.readouterr().err)
+        path.write_text('f,label,pred\n"a\nb",1,1\nc,0,\nc,0,0\n',
+                        encoding="utf-8")
+        assert main([str(path), *flags]) == 0
+        assert "(lines 4)" in capsys.readouterr().err
+
 
 class TestHugeValues:
     def test_no_overflow_warning(self, tmp_path):
@@ -400,13 +415,13 @@ class TestReportSink:
         assert target.read_bytes() == b""
 
     def test_out_naming_the_input_is_refused(self, mixed_csv, capsys):
-        before = open(mixed_csv, "rb").read()
+        before = Path(mixed_csv).read_bytes()
         head, tail = os.path.split(mixed_csv)
         out = os.path.join(head, ".", tail)  # the same file, spelled apart
         assert main([mixed_csv, "-g", "label", "-p", "pred",
                      "--out", out]) == 1
         assert "--out" in capsys.readouterr().err
-        assert open(mixed_csv, "rb").read() == before
+        assert Path(mixed_csv).read_bytes() == before
 
     def test_same_target_columns_leave_out_untouched(self, mixed_csv,
                                                      tmp_path):

@@ -223,7 +223,7 @@ AWKWARD_TEXT = st.one_of(
     st.sampled_from(['"', "\\", "\x00", "\x1f\n\t", "\u2028", "\U0001F600",
                      "–", "", 'a "b" \\ c']),
     st.text(max_size=8))
-EDGE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 0.1, 0.0, 1.0]),
+EDGE_FLOATS = st.one_of(st.sampled_from([5e-324, 1e-300, 0.1, 0.0, -0.0, 1.0]),
                         st.floats(0.0, 1.0))
 COUNTS = st.integers(0, 10**6)
 
@@ -274,8 +274,26 @@ class TestJsonWriterMatchesJsonDumps:
         assert render(doc, "json") == json.dumps(
             doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
+    def test_repeated_numbers_and_signed_zeros(self):
+        # rows come ranked by p-value, so equal numbers sit next to each
+        # other; 0.0 == -0.0, yet each is written as itself
+        doc = table7_style_report()
+        row = doc["slices"][0]
+        doc["slices"] = [
+            {**row, "p_value": 1.2e-25, "performance": 0.699},
+            {**row, "p_value": 1.2e-25, "performance": 0.699},
+            {**row, "p_value": 0.0, "performance": 0.0},
+            {**row, "p_value": -0.0, "performance": -0.0},
+            {**row, "p_value": 0.0, "performance": 0.0}]
+        text = render(doc, "json")
+        assert text == json.dumps(
+            doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert text.count('"p_value": -0.0,') == 1
+
     def test_slice_template_keys_are_the_schema_keys_sorted(self):
-        keys = re.findall(r'^      "(\w+)":', report._SLICE_ROW, re.MULTILINE)
+        text = render(table7_style_report(), "json")
+        row = text.partition('"slices": [')[2]
+        keys = re.findall(r'^      "(\w+)":', row, re.MULTILINE)
         assert keys == sorted(SCHEMA["properties"]["slices"]["items"]["required"])
 
 

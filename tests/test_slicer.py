@@ -18,10 +18,11 @@ from sliceminer.hpd import HpdConfig
 from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
                               ValueSet, make_slice)
 from sliceminer.oracle import exact_hypergeom_pvalue
-from sliceminer.slicer import (AnalysisConfig, _split_around, evaluate_slice,
-                               filter_and_rank, generate_higher_order,
-                               generate_one_way, membership, min_support,
-                               perf_threshold, resolve_filters, run_analysis)
+from sliceminer.slicer import (AnalysisConfig, _rank, _split_around,
+                               evaluate_slice, filter_and_rank,
+                               generate_higher_order, generate_one_way,
+                               membership, min_support, perf_threshold,
+                               resolve_filters, run_analysis)
 
 # admits every candidate with two or more members
 EVERYTHING = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
@@ -481,17 +482,32 @@ class TestRunAnalysis:
     def test_every_reported_slice_ranked_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
         ranked = []
+        seeds = []
+        keys = []
 
         def recording(evaluated, filters):
             kept = filter_and_rank(evaluated, filters)
             ranked.append(len(kept))
             return kept
 
+        def recording_generate(dataset, round_seeds, *args, **kwargs):
+            seeds.extend(round_seeds)
+            return generate_higher_order(dataset, round_seeds, *args, **kwargs)
+
+        def counting_rank(pair):
+            keys.append(pair)
+            return _rank(pair)
+
         monkeypatch.setattr("sliceminer.slicer.filter_and_rank", recording)
+        monkeypatch.setattr("sliceminer.slicer.generate_higher_order",
+                            recording_generate)
+        monkeypatch.setattr("sliceminer.slicer._rank", counting_rank)
         result = run_analysis(ds, AnalysisConfig(max_order=3))
         assert {sl.order for sl, _ in result.reported} >= {1, 2}
-        assert len(ranked) == 3  # one ranking per round
-        assert sum(ranked) == len(result.reported)
+        assert ranked == [len(result.reported)]  # one ranking per run
+        # a key per reported slice, and one per seed, ranked in its round
+        assert seeds
+        assert len(keys) == len(result.reported) + len(seeds)
 
     def test_each_predicate_evaluated_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
