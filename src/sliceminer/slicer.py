@@ -4,16 +4,19 @@ The search runs one round per order.  Order 1 enumerates every categorical
 value and runs the HPD scan on every continuous feature.  Each higher order
 comes from two routes: conditioning (rerun single-feature analysis inside
 each slice the previous order reported, on every other feature) and small
-decision trees over every feature subset of that order.  Both routes emit
-only candidates that clear minimum support and the performance gap.  A
-conditioned candidate is its seed plus one predicate, so its members are
-the seed's rows that predicate admits; it is counted there.  A tree
-candidate is evaluated directly against the dataset, since a node's rows
-differ from its members when cells off its path are missing.  Either way
-the counts are exact membership counts, never heuristic internals.  Each
-distinct predicate gets its counts once and is kept only if it also passes
-the hypergeometric significance test against the whole-dataset record and
-correct counts.
+decision trees over every feature subset of that order.  A conditioned
+candidate is its seed plus one predicate, so its members are the seed's
+rows that predicate admits; it is counted there.  A tree candidate is
+evaluated directly against the dataset, since a node's rows differ from
+its members when cells off its path are missing.  Either way the counts
+are exact membership counts, never heuristic internals.
+
+One registry per run maps each key a route emitted, and each tree key
+evaluated, to its (support, correct).  A route skips a key already in it,
+so a predicate is emitted at most once per run, by the first route that
+reaches it, and only if it clears minimum support and the performance
+gap.  It is reported only if it also passes the hypergeometric
+significance test against the whole-dataset record and correct counts.
 """
 
 from __future__ import annotations
@@ -170,9 +173,10 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
 
     ``mask`` holds the members of ``base``, so a candidate's members are
     the records of ``mask`` its own predicate admits; they are counted
-    there.  Only candidates that pass the support and performance gates are
-    returned, and their (support, correct) go into ``counts`` under their
-    predicate key."""
+    there.  A candidate is returned only if it passes the support and
+    performance gates and its predicate key is not yet in the registry
+    ``counts``; its (support, correct) then go into ``counts`` under that
+    key."""
     feature = dataset.features[name]
     categorical = feature.kind is FeatureKind.CATEGORICAL
     heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
@@ -201,8 +205,9 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
     for pred, n, k in zip(predicates, support, hits):
         if filters.admits(n, k):
             key = before + ((name, pred),) + after
-            counts[key] = n, k
-            kept.append(Slice._make((key, heuristic, order)))
+            if key not in counts:
+                counts[key] = n, k
+                kept.append(Slice._make((key, heuristic, order)))
     return kept
 
 
@@ -210,9 +215,9 @@ def generate_one_way(dataset: Dataset, config: AnalysisConfig,
                      filters: Filters, counts: dict) -> list[Slice]:
     """Single-feature candidates that pass the support and performance
     gates: conditioning on the whole dataset, which yields every present
-    categorical value and the HPD scan over every continuous feature.  Each
-    candidate's (support, correct) goes into ``counts`` under its predicate
-    key."""
+    categorical value and the HPD scan over every continuous feature.  Keys
+    already in the registry ``counts`` are skipped; each returned
+    candidate's (support, correct) goes into it under its predicate key."""
     return [sl for name in dataset.feature_names
             for sl in _condition(dataset, None, (), name, config, filters,
                                  counts)]
@@ -224,17 +229,21 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                           ) -> list[Slice]:
     """Order-``order`` candidates via conditioning and decision trees, in
     that order: each seed's candidates feature by feature, then each tree's
-    in subset order.  First-wins dedupe in ``run_analysis`` relies on it.
+    in subset order.  A key already in the registry ``counts`` is skipped,
+    so the first route to reach a key wins, and no key is returned twice.
 
     Conditioning restricts the dataset to each seed's members and reruns
     single-feature analysis on every feature the seed does not constrain;
-    its candidates are counted inside the seed's rows and gated there, and
-    their (support, correct) go into ``counts``.  Trees are fitted on every
-    subset of ``order`` features, so they may also yield lower-order
-    slices; their nodes are gated on the rows they hold and their slices
-    carry no counts.  The trees share the split table ``splits`` (a fresh
-    one when None; see ``dtree.fit_tree``), so a run that passes one table
-    to every round searches each node's split once.
+    its candidates are counted inside the seed's rows and gated there.
+    Trees are fitted on every subset of ``order`` features, in feature-name
+    order so that the input's column order breaks no tie, and may also
+    yield lower-order slices; their nodes are gated on the rows they hold.
+    Each new tree key is then counted by ``evaluate_slice`` and recorded in
+    ``counts`` even when it fails the gates, so no route counts it again,
+    and it is returned only if it passes them.  Every returned slice has
+    its (support, correct) in ``counts``.  The trees share the split table
+    ``splits`` (a fresh one when None; see ``dtree.fit_tree``), so a run
+    that passes one table to every round searches each node's split once.
     """
     generated = []
     for seed in seeds:
@@ -247,12 +256,17 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
                                             filters, counts))
     if Heuristic.DT in config.heuristics:
         splits = {} if splits is None else splits
-        for names in combinations(dataset.feature_names, order):
+        for names in combinations(sorted(dataset.feature_names), order):
             features = [dataset.features[name] for name in names]
             tree = dtree.fit_tree(features, dataset.correctness,
                                   filters.min_support, MAX_DEPTH,
                                   splits=splits)
-            generated.extend(dtree.extract_slices(tree, features, filters))
+            for sl in dtree.extract_slices(tree, features, filters):
+                if sl.predicates not in counts:
+                    stats = evaluate_slice(dataset, sl)
+                    counts[sl.predicates] = stats.support, stats.correct
+                    if filters.admits(stats.support, stats.correct):
+                        generated.append(sl)
     return generated
 
 
@@ -284,66 +298,50 @@ def run_analysis(dataset: Dataset, config: AnalysisConfig) -> AnalysisResult:
     """Full pipeline: summary, filters, one generation round per order, final
     report set, with candidate/reported counts per (heuristic, order).
 
-    Each round takes only predicates no earlier candidate has (first
-    occurrence wins).  Its slices of the round's order that pass the
-    p-value gate seed the next round's conditioning, ranked within their
-    round.  Every round's gated pairs are ranked once per run, by one
-    ``filter_and_rank``: both sorts are stable on one key, so seeds and
-    report keep the order that ranking each round and then every round
-    together gives, and each reported slice's key is built once.  A
-    conditioned candidate comes with its counts, which passed the gates in
-    generation.  Each round asks the tails of its distinct counts in
+    One registry of counts serves every round, so the generators return
+    only predicates no earlier candidate has (first occurrence wins), each
+    with its counts in the registry, past the support and performance
+    gates.  Each round asks the tails of its new distinct counts in
     ascending support, so the masses of one draw count are built once per
     round; the ``SliceStats`` of each distinct counts is built once per
-    run, beside its tail, and shared by every conditioned slice with those
-    counts.  A tree candidate is evaluated against the dataset and gated
-    there, so every pair a round keeps is a counted candidate.  One split
-    table serves every round's trees."""
+    run, beside its tail, and shared by every slice with those counts.
+    The round's slices of its own order that pass the p-value gate seed
+    the next round's conditioning, ranked within their round.  Every
+    round's pairs are ranked once per run, by one ``filter_and_rank``:
+    both sorts are stable on one key, so seeds and report keep the order
+    that ranking each round and then every round together gives, and each
+    reported slice's key is built once.  One split table serves every
+    round's trees."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
     population, successes = dataset.n_records, dataset.n_correct
 
-    seen = set()
     splits = {}
+    counts = {}
     shared = {}
     candidates = Counter()
     evaluated = []
     for order in range(1, config.max_order + 1):
-        counts = {}
         if order == 1:
             generated = generate_one_way(dataset, config, filters, counts)
         else:
             generated = generate_higher_order(dataset, seeds, order, config,
                                               filters, counts, splits=splits)
-        fresh = []
-        for sl in generated:
-            key = sl.predicates
-            if key not in seen:
-                seen.add(key)
-                fresh.append((sl, counts.get(key)))
-        # counts an earlier round had are memo hits here; their stats stand
-        for n, k in sorted({c for _, c in fresh if c is not None}):
+        for n, k in sorted({counts[sl.predicates] for sl in generated}
+                           - shared.keys()):
             p_value = hypergeom_lower_pvalue(population, successes, n, k)
-            if (n, k) not in shared:
-                # k counts members of the n, so k <= n holds
-                shared[n, k] = SliceStats._make((n, k, k / n, p_value))
-        this_round = []
-        for sl, carried in fresh:
-            if carried is not None:
-                this_round.append((sl, shared[carried]))
-            else:
-                stats = evaluate_slice(dataset, sl)
-                if filters.admits(stats.support, stats.correct):
-                    this_round.append((sl, stats))
-        candidates.update((sl.heuristic, sl.order) for sl, _ in this_round)
+            # k counts members of the n, so k <= n holds
+            shared[n, k] = SliceStats._make((n, k, k / n, p_value))
+        this_round = [(sl, shared[counts[sl.predicates]]) for sl in generated]
+        candidates.update((sl.heuristic, sl.order) for sl in generated)
         evaluated += this_round
         if order < config.max_order:
             seeds = [sl for sl, _ in sorted(
                 (pair for pair in this_round if pair[0].order == order
                  and pair[1].p_value < filters.p_value_max), key=_rank)]
-    # the last round's working lists would otherwise outlive it into the
-    # ranking, whose sort keys set the run's peak memory
-    del generated, counts, fresh, this_round
+    # the registry and the last round's working lists would otherwise
+    # outlive the loop into the ranking, whose sort keys set the peak memory
+    del generated, counts, this_round
     reported = filter_and_rank(evaluated, filters)
 
     return AnalysisResult(

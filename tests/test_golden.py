@@ -47,36 +47,36 @@ def sha256(text: str) -> str:
         "markdown": "3d39fb362519681debb8879cb80aa637b011b9407bf3fbcf39274a434f213869",
         "csv": "72476e8beb04b08d52878e9da74bd27edee710f17a32708891ecd4baa5fd675b"}),
     ("write_planted", 220, 3, 1, {
-        "json": "4249679b4ceb4a95b12aeb33a85ff9a626b34e20102340e152cd2d31d385d458",
-        "markdown": "704108e873f87154662e5e6afb4a57105efb10408a5b88d6ad4a641a28231e71",
+        "json": "79d68cf76f4012f6ef119e0c751258f98a778e875d35fdc4bbc73571f036920c",
+        "markdown": "b8218871e21c03aacb04deeefce29b346c052367af92ad9925fdf893769842c9",
         "csv": "9b2f4e31183477e700556ac655acb4a1fe86f2e6b6d4d8f7758866777d6ee110"}),
     ("write_null", 1500, 2, 1, {
-        "json": "f12054cca9ae001fb726b711d2c9044983ae58dc326a3e6b7539cbc7d24a9d49",
-        "markdown": "8a069696b311fd583a2023a41044feefd06e252a282ba811dc0bdbc6b83a0f95",
+        "json": "b21aa2b1f8af650579cbcd2ddd0d342b5d61cf4eeaaf5afa7571eff3043108e9",
+        "markdown": "61fab4daf80d4a136a03a70dbb4bcdca2d9a52b95c7fc0eac8c94a591b0b67f0",
         "csv": "688d31dafbd8a34cc783b5cd13beeb5399759a32166f32390d97d65cb2415147"}),
     ("write_planted", 2000, 2, 7, {
         "json": "4367df90de9d361a63b906cc57b4f0a89f798dc0943fb48c8d66c28200c82bc9",
         "markdown": "e2937e63624a52c09e88f43a83b34c7275d18c5764673068547758d3e9b35e61",
         "csv": "082b77f9b3986867d41783f3843f2bdb9dc5055afe0fd1e84bd76c0ba8a1075b"}),
     ("write_planted", 220, 3, 7, {
-        "json": "fdbb691885a1357f4be514b3816099f76f40eff0038ca2ec1c000c5a619fe978",
-        "markdown": "b02e416c996b21819efec32fa41aeb41d97f367d58e19b52d94b5cc60c6d74df",
+        "json": "5ca61dd137ca626188aeed9581100d72592a2f4ef1732e7ecd6a26cb0ca8cda4",
+        "markdown": "ae7b690ef621de55910f2e6ba197f1bd3ff9a773db378e1a7ffe7ceb5d135259",
         "csv": "dab9465d6b5e85d0db4b29982c1884040c9e88538a6bbde7f3f9f1111fb2220b"}),
     ("write_null", 1500, 2, 7, {
-        "json": "bf1660eeb1f6f7e82b5a0efd0d181f32a2f988715ffac55809704a090e25022c",
-        "markdown": "170b62cdfce98ad4a73f602da970b7af72b12eefbef25f22286a5862984f4784",
+        "json": "b99321982027d92bee839b5e70bef70f1c0b5059c7cfea44bff3245b43bcaaa3",
+        "markdown": "9a04566eed2be4bf1ef6cb64ea8ff5bd36511ae5766445f6a2d8532d2ec342a0",
         "csv": "e76b704fe44dcf71ee73ab0fd488380474432a081ced857f022057e88fa197ce"}),
     ("write_planted", 2000, 2, 23, {
         "json": "2def72cfd3919d291b38ec3998290f2943d57efde871951f2588866a46ce669e",
         "markdown": "1e1ebd3a3be3def290218887feaf6d5884e383e444829de72aac554d0bcb937d",
         "csv": "f839833f8b58924220f251b5fb7146e5e13ad1816667d01a4c8f14f9189c009a"}),
     ("write_planted", 220, 3, 23, {
-        "json": "19480444ab5963517beb1e4c8b849aa03297f211f817bf4226d1683f9bfd1bd0",
-        "markdown": "032984006fe255f400593d7c643ff3dde25b5094fa64da37bc0e806e19e2326b",
+        "json": "31fce2429b90b42b48477a1191b0e51010f11d70399723fb4c5c1440a4b7a4ea",
+        "markdown": "2d60d2dc2f298c47828e4743e8b6df828380481392d31373f65d57869ab93826",
         "csv": "6c26691d97939bb7ce3a30ca10540fdcad442561b745529dda776e3194b9afed"}),
     ("write_null", 1500, 2, 23, {
-        "json": "421e0912f17a83f90e6a7d71857e19228c7d6d8b9f0e59835ac7756b4eac8af7",
-        "markdown": "cff9026cb281a68f8dd764c4d289f7e269c7022deb5adc339b09712f8afadcb6",
+        "json": "d4a48318bfde44f277ff5df5e7203ffe6d1c14d07bb3c701cd0be276e0bde273",
+        "markdown": "08cea41d616b6ae9f4f3e815a8aefcab61d3b8939406037b2a8128868c6ee278",
         "csv": "03996c1cafbad5fd5903c62b125744262d51bf1c5a9c0d71edfd988b4900f98e"}),
 ], ids=[
     "planted-2k-o2", "order3-220", "null-1500-o2",

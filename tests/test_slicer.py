@@ -465,19 +465,34 @@ class TestRunAnalysis:
         low_keys = {sl.predicate_key() for sl, _ in low.reported}
         assert high_keys <= low_keys
 
-    def test_duplicate_predicates_merge_first_wins(self, tmp_path, monkeypatch):
+    def test_duplicate_predicates_merge_first_wins(self, tmp_path):
+        # first-wins holds at generation: a key already in the registry is
+        # not returned again, whichever call, seed or route reaches it
         ds = random_dataset(tmp_path, 5)
-        config = AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL}),
-                                max_order=1)
-        found = run_analysis(ds, config).reported[0][0]
-        as_cat = make_slice(dict(found.predicates), Heuristic.CATEGORICAL)
-        as_dt = make_slice(dict(found.predicates), Heuristic.DT)
-        monkeypatch.setattr("sliceminer.slicer.generate_one_way",
-                            lambda dataset, config, filters, counts:
-                            [as_cat, as_dt])
-        result = run_analysis(ds, config)
-        assert [sl for sl, _ in result.reported] == [as_cat]
-        assert result.reported_counts == {("categorical", 1): 1}
+        config = AnalysisConfig(heuristics=frozenset({Heuristic.CATEGORICAL,
+                                                      Heuristic.HPD}))
+        counts = {}
+        one_way = generate_one_way(ds, config, EVERYTHING, counts)
+        assert one_way
+        assert generate_one_way(ds, config, EVERYTHING, counts) == []
+        # an interval of x found inside a category, and that interval as a
+        # seed: conditioning either seed reaches the same key
+        by_category = next(sl for sl in one_way if sl.features == ("cat1",))
+        inside = next(sl for sl in generate_higher_order(
+            ds, [by_category], 2, config, EVERYTHING, {})
+            if sl.features == ("cat1", "x"))
+        by_interval = make_slice({"x": dict(inside.predicates)["x"]},
+                                 Heuristic.HPD)
+        for seeds, heuristic in (([by_category, by_interval], Heuristic.HPD),
+                                 ([by_interval, by_category],
+                                  Heuristic.CATEGORICAL)):
+            registry = {}
+            out = generate_higher_order(ds, seeds, 2, config, EVERYTHING,
+                                        registry)
+            assert [sl.heuristic for sl in out
+                    if sl.predicates == inside.predicates] == [heuristic]
+            assert generate_higher_order(ds, seeds, 2, config, EVERYTHING,
+                                         registry) == []
 
     def test_every_reported_slice_ranked_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
@@ -513,6 +528,7 @@ class TestRunAnalysis:
         ds = random_dataset(tmp_path, 5)
         rounds = []
         evaluated = Counter()
+        counted_trees = []
         built = []
 
         def recording_rank(pairs, filters):
@@ -522,7 +538,10 @@ class TestRunAnalysis:
         def counting_evaluate(dataset, sl):
             evaluated[sl.predicate_key()] += 1
             assert sl.heuristic is Heuristic.DT  # conditioned ones come counted
-            return evaluate_slice(dataset, sl)
+            stats = evaluate_slice(dataset, sl)
+            if stats.support:  # an empty one shares the constant
+                counted_trees.append(sl)
+            return stats
 
         class CountingStats(SliceStats):
             __slots__ = ()
@@ -543,17 +562,16 @@ class TestRunAnalysis:
         assert {sl.order for sl, _ in result.reported} >= {1, 2}
         pairs = [pair for evaluated_round in rounds for pair in evaluated_round]
         keys = Counter(sl.predicate_key() for sl, _ in pairs)
-        assert max(keys.values()) == 1  # each key is evaluated once ...
-        conditioned = {(stats.support, stats.correct) for sl, stats in pairs
-                       if sl.heuristic is not Heuristic.DT}
-        counted_trees = sum(1 for sl, stats in pairs
-                            if sl.heuristic is Heuristic.DT and stats.support)
-        # ... with one SliceStats per distinct conditioned counts and one
-        # per counted tree candidate (an empty one shares the constant)
-        assert len(conditioned) < len(pairs) - counted_trees
-        assert len(built) == len(conditioned) + counted_trees
+        assert max(keys.values()) == 1  # each key is counted once ...
+        # ... and a tree key is evaluated at most once per run
         assert evaluated and max(evaluated.values()) == 1
-        assert set(evaluated) <= set(keys)
+        assert {sl.predicate_key() for sl, _ in pairs
+                if sl.heuristic is Heuristic.DT} <= set(evaluated)
+        # one SliceStats per distinct counts a round returns, shared by
+        # every slice with them, and one per nonempty evaluated tree key
+        distinct = {(stats.support, stats.correct) for _, stats in pairs}
+        assert len(distinct) < len(pairs)
+        assert len(built) == len(distinct) + len(counted_trees)
         assert {sl.predicate_key() for sl, _ in result.reported} <= set(keys)
 
     def test_equal_counts_share_one_stats(self, tmp_path):
@@ -600,22 +618,17 @@ class TestRunAnalysis:
 
     def test_each_tail_summed_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)
-        admitted = set()
+        returned = []
+        registries = []
         asked = set()
         pvalue = hypergeom_lower_pvalue
         one_way = generate_one_way
         higher = generate_higher_order
 
-        def carried(slices, counts):
-            assert {sl.predicate_key() for sl in slices} >= set(counts)
-            admitted.update(counts.values())
+        def recording(slices, counts):
+            returned.extend(slices)
+            registries.append(counts)
             return slices
-
-        def counting_evaluate(dataset, sl):
-            stats = evaluate_slice(dataset, sl)
-            if stats.support:
-                admitted.add((stats.support, stats.correct))
-            return stats
 
         def counting_pvalue(population, successes, draws, observed):
             asked.add((population, successes, draws, observed))
@@ -623,19 +636,23 @@ class TestRunAnalysis:
 
         monkeypatch.setattr(
             "sliceminer.slicer.generate_one_way",
-            lambda *args: carried(one_way(*args), args[-1]))
+            lambda *args: recording(one_way(*args), args[-1]))
         monkeypatch.setattr(
             "sliceminer.slicer.generate_higher_order",
-            lambda *args, **kw: carried(higher(*args, **kw), args[-1]))
-        monkeypatch.setattr("sliceminer.slicer.evaluate_slice", counting_evaluate)
+            lambda *args, **kw: recording(higher(*args, **kw), args[-1]))
         monkeypatch.setattr("sliceminer.slicer.hypergeom_lower_pvalue",
                             counting_pvalue)
         hypergeom_lower_pvalue.cache_clear()
         result = run_analysis(ds, AnalysisConfig(max_order=3))
+        counts = registries[0]
+        assert all(registry is counts for registry in registries)
+        admitted = {counts[sl.predicate_key()] for sl in returned}
         # a miss is a tail sum: one per distinct arguments asked for
         assert hypergeom_lower_pvalue.cache_info().misses == len(asked)
         assert {key[:2] for key in asked} == {
             (ds.n_records, int(ds.correctness.sum()))}
+        # no cell is missing, so every tree key the route evaluates passes
+        # the gates its node passed, and every tail asked is a returned one
         assert {key[2:] for key in asked} == admitted
         assert all(result.filters.admits(n, k) for n, k in admitted)
 
@@ -650,9 +667,13 @@ class TestRunAnalysis:
         one_way = generate_one_way
         higher = generate_higher_order
 
-        def recording(slices):
-            generated.extend(slices)
-            return slices
+        def recording(generate):
+            # every slice the call reaches before the run's registry
+            # dedupes it: the same call on a fresh registry
+            def wrapped(*args, **kwargs):
+                generated.extend(generate(*args[:-1], {}, **kwargs))
+                return generate(*args, **kwargs)
+            return wrapped
 
         def spelled_out(sl):  # keyed by name, kind and codes or interval
             return tuple((name, "set", pred.codes)
@@ -661,9 +682,9 @@ class TestRunAnalysis:
                          for name, pred in sl.predicates)
 
         monkeypatch.setattr("sliceminer.slicer.generate_one_way",
-                            lambda *args: recording(one_way(*args)))
+                            recording(one_way))
         monkeypatch.setattr("sliceminer.slicer.generate_higher_order",
-                            lambda *args, **kw: recording(higher(*args, **kw)))
+                            recording(higher))
         run_analysis(ds, AnalysisConfig(max_order=3))
         routes = {sl.heuristic for sl in generated}
         assert {Heuristic.CATEGORICAL, Heuristic.HPD, Heuristic.DT} <= routes
@@ -675,6 +696,39 @@ class TestRunAnalysis:
         assert all(len(old) == 1 for old in merged.values())
         assert len(merged) == len({spelled_out(sl) for sl in generated})
         assert len(merged) < len(generated)  # some keys repeat
+
+    def test_no_key_returned_twice_per_run(self, tmp_path, monkeypatch):
+        # missing cells make some tree keys count more records than their
+        # nodes hold, so some registry entries fail the gates
+        ds = holey_dataset(tmp_path, 3)
+        returned = Counter()
+        registries = []
+        one_way = generate_one_way
+        higher = generate_higher_order
+
+        def recording(generate):
+            def wrapped(*args, **kwargs):
+                slices = generate(*args, **kwargs)
+                returned.update(sl.predicate_key() for sl in slices)
+                registries.append(args[-1])
+                return slices
+            return wrapped
+
+        monkeypatch.setattr("sliceminer.slicer.generate_one_way",
+                            recording(one_way))
+        monkeypatch.setattr("sliceminer.slicer.generate_higher_order",
+                            recording(higher))
+        result = run_analysis(ds, AnalysisConfig(max_order=3))
+        assert len(registries) == 3
+        assert returned and max(returned.values()) == 1
+        counts = registries[0]
+        assert all(registry is counts for registry in registries)
+        assert set(returned) <= set(counts)
+        for key, counted in counts.items():
+            sl = Slice._make((key, Heuristic.DT, len(key)))
+            assert recount(ds, sl) == counted
+        assert all(result.filters.admits(*counts[key]) for key in returned)
+        assert not all(result.filters.admits(*nk) for nk in counts.values())
 
 
 # cells drawn from few values, so ties are common; -0.0 and 0.0 are one value
