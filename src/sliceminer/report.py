@@ -16,7 +16,6 @@ category sets as the original labels of their codes, read from the feature
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from json.encoder import encode_basestring
@@ -195,22 +194,22 @@ def _render_json(report: dict) -> str:
     p-value, so equal numbers sit next to each other: a row reuses the
     previous row's p-value and performance text when the value is equal
     and nonzero (``0.0 == -0.0``, but they are written apart).  Every piece
-    goes into one list joined once, so no large intermediate string is
-    built."""
+    is appended to ``text``, the one reference to the text (see
+    ``render``)."""
     encode = encode_basestring
     number = float.__repr__
-    parts = []
+    text = ""
     separator = "{\n  "
     for key in sorted(report):
-        parts += (separator, encode(key), ": ")
+        text += f"{separator}{encode(key)}: "
         separator = ",\n  "
         if key != "slices":
-            parts.append(json.dumps(report[key], indent=2, sort_keys=True,
-                                    ensure_ascii=False).replace("\n", "\n  "))
+            text += json.dumps(report[key], indent=2, sort_keys=True,
+                               ensure_ascii=False).replace("\n", "\n  ")
             continue
         rows = report["slices"]
         if not rows:
-            parts.append("[]")
+            text += "[]"
             continue
         row_separator = "[\n    "
         last_p = last_perf = 0.0  # zero is never reused: the first row encodes
@@ -221,9 +220,10 @@ def _render_json(report: dict) -> str:
                 last_p, p_text = p_value, number(p_value)
             if performance != last_perf or not performance:
                 last_perf, perf_text = performance, number(performance)
-            items = _ITEM_SEP.join([f"{encode(name)}: {encode(text)}"
-                                    for name, text in sorted(predicates.items())])
-            parts.append(f"""{row_separator}{{
+            items = _ITEM_SEP.join([f"{encode(name)}: {encode(value)}"
+                                    for name, value
+                                    in sorted(predicates.items())])
+            text += f"""{row_separator}{{
       "correct": {correct},
       "features": [
         {_ITEM_SEP.join(map(encode, features))}
@@ -236,11 +236,11 @@ def _render_json(report: dict) -> str:
         {items}
       }},
       "support": {support}
-    }}""")
+    }}"""
             row_separator = ",\n    "
-        parts.append("\n  ]")
-    parts.append("\n}\n")
-    return "".join(parts)
+        text += "\n  ]"
+    text += "\n}\n"
+    return text
 
 
 def _md_cell(text: str) -> str:
@@ -253,83 +253,95 @@ def _md_cell(text: str) -> str:
 def _render_markdown(report: dict) -> str:
     d = report["dataset"]
     f = report["filters"]
-    lines = [
-        "# Under-performing slice report",
-        "",
-        "## Dataset",
-        "",
-        "| records | correct | metric | CI low | CI high | CI level | CI method |",
-        "|---|---|---|---|---|---|---|",
-        f"| {d['records']} | {d['correct']} | {_fmt_perf(d['metric'])} "
-        f"| {_fmt_perf(d['ci_low'])} | {_fmt_perf(d['ci_high'])} "
-        f"| {d['ci_level']:g} | {d['ci_method']} |",
-        "",
-        f"Filters: support >= {f['min_support']}, "
-        f"performance <= {_fmt_perf(f['perf_threshold'])}, "
-        f"p-value < {f['p_value_max']:g}.",
-        "",
-        "Config: " + ", ".join(f"{key}={value}"
-                               for key, value in sorted(report["config"].items())),
-        "",
-        "## Counts (candidates -> reported)",
-        "",
-        "| heuristic | order | candidates | reported |",
-        "|---|---|---|---|",
-    ]
+    dataset = (f"| {d['records']} | {d['correct']} | {_fmt_perf(d['metric'])} "
+               f"| {_fmt_perf(d['ci_low'])} | {_fmt_perf(d['ci_high'])} "
+               f"| {d['ci_level']:g} | {d['ci_method']} |")
+    filters = (f"support >= {f['min_support']}, "
+               f"performance <= {_fmt_perf(f['perf_threshold'])}, "
+               f"p-value < {f['p_value_max']:g}")
+    config = ", ".join(f"{key}={value}"
+                       for key, value in sorted(report["config"].items()))
+    text = f"""# Under-performing slice report
+
+## Dataset
+
+| records | correct | metric | CI low | CI high | CI level | CI method |
+|---|---|---|---|---|---|---|
+{dataset}
+
+Filters: {filters}.
+
+Config: {config}
+
+## Counts (candidates -> reported)
+
+| heuristic | order | candidates | reported |
+|---|---|---|---|
+"""
     candidates = report["counts"]["candidates"]
     reported = report["counts"]["reported"]
     # heuristic names are lowercase and orders one digit, so the keys sort
     # as their (heuristic, order) pairs do
     for key in sorted(candidates.keys() | reported.keys()):
         heuristic, order = key.split(":")
-        lines.append(f"| {heuristic} | {order} | {candidates.get(key, 0)} "
-                     f"| {reported.get(key, 0)} |")
-    lines += [
-        "",
-        "## Reported slices",
-        "",
-        "| feature | value | support | performance | p-value | heuristic | order |",
-        "|---|---|---|---|---|---|---|",
-    ]
+        text += (f"| {heuristic} | {order} | {candidates.get(key, 0)} "
+                 f"| {reported.get(key, 0)} |\n")
+    text += """
+## Reported slices
+
+| feature | value | support | performance | p-value | heuristic | order |
+|---|---|---|---|---|---|---|
+"""
     for row in report["slices"]:
         names = _md_cell(", ".join(row["features"]))
         if len(row["features"]) > 1:
             names = f"({names})"
         values = _md_cell(", ".join(row["predicates"].values()))
-        lines.append(f"| {names} | {values} | {row['support']} "
-                     f"| {_fmt_perf(row['performance'])} "
-                     f"| {_fmt_pvalue(row['p_value'])} "
-                     f"| {row['heuristic']} | {row['order']} |")
-    lines += [
-        "",
-        "## Support summary",
-        "",
-        "| heuristic | order | count | min | avg | max | std |",
-        "|---|---|---|---|---|---|---|",
-    ]
+        text += (f"| {names} | {values} | {row['support']} "
+                 f"| {_fmt_perf(row['performance'])} "
+                 f"| {_fmt_pvalue(row['p_value'])} "
+                 f"| {row['heuristic']} | {row['order']} |\n")
+    text += """
+## Support summary
+
+| heuristic | order | count | min | avg | max | std |
+|---|---|---|---|---|---|---|
+"""
     for g in report["support_summary"]:
-        lines.append(f"| {g['heuristic']} | {g['order']} | {g['count']} "
-                     f"| {g['min']} | {g['avg']:.1f} | {g['max']} "
-                     f"| {g['std']:.1f} |")
-    return "\n".join(lines) + "\n"
+        text += (f"| {g['heuristic']} | {g['order']} | {g['count']} "
+                 f"| {g['min']} | {g['avg']:.1f} | {g['max']} "
+                 f"| {g['std']:.1f} |\n")
+    return text
 
 
 CSV_COLUMNS = ["features", "predicate", "heuristic", "order", "support",
                "correct", "performance", "p_value"]
 
 
+class _LastRow:
+    """A ``csv.writer`` file that keeps only the row written last:
+    ``writerow`` calls ``write`` once, with the whole row."""
+
+    __slots__ = ("row",)
+
+    def write(self, row: str) -> None:
+        self.row = row
+
+
 def _render_csv(report: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    last = _LastRow()
+    writer = csv.writer(last, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    text = last.row
     for row in report["slices"]:
-        predicate = "; ".join(f"{name}={text}"
-                              for name, text in row["predicates"].items())
+        predicate = "; ".join(f"{name}={value}"
+                              for name, value in row["predicates"].items())
         writer.writerow([", ".join(row["features"]), predicate,
                          row["heuristic"], row["order"], row["support"],
                          row["correct"], _fmt_perf(row["performance"]),
                          _fmt_pvalue(row["p_value"])])
-    return buffer.getvalue()
+        text += last.row
+    return text
 
 
 _RENDERERS = {
@@ -343,7 +355,15 @@ FORMATS = tuple(_RENDERERS)
 
 def render(report: dict, format: str) -> str:
     """Render a report document (``build_report``); format is one of
-    ``FORMATS``: json, markdown, csv."""
+    ``FORMATS``: json, markdown, csv.
+
+    Each renderer appends every piece to one local ``str``, ``text``.
+    CPython resizes a string that only one local references in place on
+    ``text += piece``, so the text is held once rather than as parts plus
+    their join; a piece wider than the text so far (the first non-ASCII
+    one) costs one copy.  Under a trace or profile function CPython 3.11
+    does not resize in place, and each append copies the text so far.
+    This moves memory and time, never the bytes."""
     try:
         renderer = _RENDERERS[format]
     except KeyError:

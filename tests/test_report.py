@@ -7,6 +7,8 @@ import io
 import json
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 from sliceminer import report
 from sliceminer.dataset import FeatureKind, IngestConfig, load_table
 from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
-from sliceminer.report import (CSV_COLUMNS, build_report, render,
+from sliceminer.report import (CSV_COLUMNS, FORMATS, build_report, render,
                                render_predicate, summarize_supports)
 from sliceminer.slicer import AnalysisConfig, membership, run_analysis
 from tests.conftest import dataset_from_columns
+from tests.test_golden import load_fixtures
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json")
@@ -457,3 +460,28 @@ class TestRenderDispatch:
     def test_unsupported_format(self):
         with pytest.raises(ValueError, match="unsupported report format"):
             render(table7_style_report(), "yaml")
+
+
+@pytest.fixture(scope="module")
+def order3_document(tmp_path_factory):
+    """The report document of the order3-220 benchmark input at seed 1."""
+    data = tmp_path_factory.mktemp("order3") / "data.csv"
+    load_fixtures().write_planted(str(data), 220, 1)
+    ds = load_table(str(data), IngestConfig("label", "pred"))
+    return build_report(run_analysis(ds, AnalysisConfig(max_order=3)), ds)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_holds_the_text_once(order3_document, fmt):
+    """Rendering peaks at 1.6 times the text it returns: the text, plus the
+    one copy that widens it from 1 to 2 bytes a character when the first
+    non-ASCII piece (an en dash) arrives, 1.5 times.  Parts joined at the
+    end, or a buffer read out whole, hold the text twice or more."""
+    assert len(order3_document["slices"]) == 1385
+    tracemalloc.start()
+    try:
+        text = render(order3_document, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * sys.getsizeof(text)
