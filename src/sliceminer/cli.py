@@ -165,6 +165,10 @@ def _report(path: str, ingest: IngestConfig, analysis: AnalysisConfig,
         print(f"sliceminer: rejected {len(dataset.rejected_rows)} rows with "
               f"missing ground truth or prediction (lines {rows}{more})",
               file=sys.stderr)
+    for name, cell, line in dataset.mixed_columns:
+        print(f"sliceminer: column {name!r} is categorical: {cell!r} on line "
+              f"{line} is not a number (if it marks a missing value, pass "
+              f"--missing-token)", file=sys.stderr)
 
     result = run_analysis(dataset, analysis)
 

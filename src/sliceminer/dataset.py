@@ -100,6 +100,9 @@ class Dataset:
     n_records: int
     n_correct: int
     rejected_rows: tuple[int, ...]
+    # (column, cell, file line) of each column inferred categorical by a
+    # non-numeric cell though another of its cells is a number
+    mixed_columns: tuple[tuple[str, str, int], ...] = ()
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -117,14 +120,23 @@ class DatasetSummary:
     ci_method: str = "wilson"
 
 
+def _is_number(token: str) -> bool:
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
 def _build_feature(name: str, tokens: list[str], missing: set[str],
-                   config: IngestConfig) -> Feature:
+                   config: IngestConfig) -> tuple[Feature, int | None]:
     """Parse one column of stripped cells and decide its kind: an override
     wins, then a column with a non-numeric token is categorical, then
     ``all_numeric`` makes it continuous, then a distinct count at or below
     ``categorical_threshold`` makes it categorical.  A token in ``missing``
     is a missing value; in a numeric column, so are non-finite tokens
-    (nan, inf)."""
+    (nan, inf).  Also returns the index of the first non-numeric token when
+    inference made the column categorical although another of its tokens
+    is a finite number, else None."""
     override = config.overrides.get(name)
     parsed = np.full(len(tokens), np.nan)
     for i, tok in enumerate(tokens):
@@ -141,7 +153,9 @@ def _build_feature(name: str, tokens: list[str], missing: set[str],
             code = {label: c for c, label in enumerate(labels)}
             values = np.array([code.get(t, np.nan) for t in tokens],
                               dtype=np.float64)
-            return Feature(name, FeatureKind.CATEGORICAL, values, labels)
+            mixed = override is None and any(map(_is_number, labels))
+            return (Feature(name, FeatureKind.CATEGORICAL, values, labels),
+                    i if mixed else None)
 
     present = np.isfinite(parsed)
     parsed[~present] = np.nan
@@ -154,10 +168,11 @@ def _build_feature(name: str, tokens: list[str], missing: set[str],
     else:
         kind = FeatureKind.CATEGORICAL
     if kind is FeatureKind.CONTINUOUS:
-        return Feature(name, kind, parsed, ())
+        return Feature(name, kind, parsed, ()), None
     rows = np.flatnonzero(present)
     parsed[rows] = inverse
-    return Feature(name, kind, parsed, tuple(tokens[i] for i in rows[first_idx]))
+    return (Feature(name, kind, parsed,
+                    tuple(tokens[i] for i in rows[first_idx])), None)
 
 
 def load_table(path: str, config: IngestConfig) -> Dataset:
@@ -179,7 +194,9 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     kept target cell parses as one, and as text otherwise.  In a column
     whose cells all parse as numbers, non-finite ones (``nan``, ``inf``)
     count as missing: in a target column they reject the row, in a feature
-    column they mask the cell.
+    column they mask the cell.  A feature column inferred categorical by a
+    non-numeric cell, though another of its cells is a finite number, is
+    listed in ``mixed_columns`` with that cell and its file line.
     """
     try:
         if path == "-":
@@ -242,6 +259,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
     except ValueError:  # one text target: every target compares as text
         numeric = False
     kept: list[list[str]] = []
+    kept_lines: list[int] = []
     gt_values: list = []
     pred_values: list = []
     for (line_no, row), (gt, pred) in zip(present, targets):
@@ -249,6 +267,7 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
             rejected.append(line_no)  # nan/inf is a missing number
             continue
         kept.append(row)
+        kept_lines.append(line_no)
         gt_values.append(gt)
         pred_values.append(pred)
     rejected.sort()
@@ -266,14 +285,17 @@ def load_table(path: str, config: IngestConfig) -> Dataset:
         if name not in known:
             raise ConfigError(f"kind override names a nonexistent column: {name!r}")
     features = {}
+    mixed = []
     for idx, name in enumerate(header):
         if idx in (gt_idx, pred_idx):
             continue
         tokens = [row[idx].strip() for row in kept]
-        features[name] = _build_feature(name, tokens, missing, config)
+        features[name], first = _build_feature(name, tokens, missing, config)
+        if first is not None:
+            mixed.append((name, tokens[first], kept_lines[first]))
     return Dataset(features=features, correctness=correctness,
                    n_records=len(kept), n_correct=int(correctness.sum()),
-                   rejected_rows=tuple(rejected))
+                   rejected_rows=tuple(rejected), mixed_columns=tuple(mixed))
 
 
 def summarize(dataset: Dataset, ci_level: float) -> DatasetSummary:

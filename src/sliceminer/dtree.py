@@ -4,8 +4,8 @@ The target is always binary: did the model predict this record correctly.
 Rows missing a value in any of the tree's features are left out of it, so a
 subset with too few usable rows gives a root that is a leaf.  The tree itself
 is never used as a predictor; every non-root node that passes the support
-and performance gates becomes a slice candidate, concretized over the
-values of the rows the node holds.
+and performance gates yields a predicate key, concretized over the values
+of the rows the node holds, and the caller builds the slice.
 
 A run fits one tree per feature subset of each order, so trees that share
 a feature, or a first split, meet the same nodes.  ``fit_tree`` keeps each
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Feature, FeatureKind
-from .model import Filters, Heuristic, Interval, Slice, ValueSet, make_slice
+from .model import Filters, Interval, ValueSet
 
 __all__ = ["TreeNode", "best_split", "fit_tree", "extract_slices"]
 
@@ -151,21 +151,21 @@ def fit_tree(features: Sequence[Feature], correctness: np.ndarray,
 
 
 def extract_slices(tree: TreeNode, features: Sequence[Feature],
-                   filters: Filters) -> list[Slice]:
-    """Harvest under-performing nodes as slice candidates, in preorder.
+                   filters: Filters) -> list[tuple]:
+    """Harvest under-performing nodes as predicate keys, in preorder.
 
     A node is kept iff it passes ``filters.admits``.  Each feature split on
     the path to it is concretized over the node's own rows: the closed
     [min, max] interval of a continuous feature, the set of codes present
-    for a categorical one.  Among the tree's usable rows the predicate's
-    members are exactly the node's rows.  Rows missing only a feature the
-    path never split on are members too, so evaluation can count more
-    records than the node holds.  No two nodes of one tree give the same
-    predicate.
+    for a categorical one.  A key is these sorted by name, as a ``Slice``'s
+    ``predicates``.  Among the tree's usable rows its members are exactly
+    the node's rows.  Rows missing only a feature the path never split on
+    are members too, so evaluation can count more records than the node
+    holds.  No two nodes of one tree give the same key.
     """
-    slices = []
+    keys = []
 
-    def concretize(node: TreeNode, names: frozenset[str]) -> Slice:
+    def concretize(node: TreeNode, names: frozenset[str]) -> tuple:
         predicates = {}
         for feature in features:
             if feature.name not in names:
@@ -180,7 +180,7 @@ def extract_slices(tree: TreeNode, features: Sequence[Feature],
             else:
                 predicates[feature.name] = Interval(float(member_vals.min()),
                                                     float(member_vals.max()))
-        return make_slice(predicates, Heuristic.DT)
+        return tuple(sorted(predicates.items()))
 
     def walk(node: TreeNode, names: frozenset[str]) -> None:
         if node.is_leaf:
@@ -188,8 +188,8 @@ def extract_slices(tree: TreeNode, features: Sequence[Feature],
         names = names | {node.feature}
         for child in (node.left, node.right):
             if filters.admits(child.size, child.n_true):
-                slices.append(concretize(child, names))
+                keys.append(concretize(child, names))
             walk(child, names)
 
     walk(tree, frozenset())
-    return slices
+    return keys

@@ -8,10 +8,10 @@ predicates are sorted by unique feature name, its order is their number
 and lies in 1..3, and a slice's correct count never exceeds its support.
 ``_make`` (and ``_replace``, which goes through it) skips the checks, so
 only builders whose inputs satisfy them by construction use it:
-``make_slice`` builds from a dict, whose names are unique and which it
-sorts, and checks the order bound itself; ``slicer._condition``
-inserts a name the seed lacks into the seed's sorted predicates, and
-checks the order bound once per call; ``slicer.evaluate_slice`` and
+``slicer._condition`` inserts a name the seed lacks into the seed's sorted
+predicates and checks the order bound once per call; the tree loop of
+``slicer.generate_higher_order`` takes ``dtree.extract_slices``' sorted
+keys over a tree's 1-3 features; ``slicer.evaluate_slice`` and
 ``slicer.run_analysis`` build stats whose correct count counts members.
 
 A category predicate, ``ValueSet``, is its codes alone: the labels they
@@ -107,16 +107,6 @@ class Slice(_SliceFields):
         It is the predicates tuple itself: a category set is its codes, so
         nothing needs building and no slice holds a second copy."""
         return self.predicates
-
-
-def make_slice(predicates: dict[str, FeaturePredicate],
-               heuristic: Heuristic) -> Slice:
-    # a dict's names are unique and sorted() orders them, so only the
-    # order bound is left to check
-    items = tuple(sorted(predicates.items()))
-    if not 1 <= len(items) <= 3:
-        raise ValueError(f"order must be 1..3, got {len(items)}")
-    return Slice._make((items, heuristic, len(items)))
 
 
 class _SliceStatsFields(NamedTuple):

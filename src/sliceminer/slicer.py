@@ -261,10 +261,11 @@ def generate_higher_order(dataset: Dataset, seeds: Sequence[Slice], order: int,
             tree = dtree.fit_tree(features, dataset.correctness,
                                   filters.min_support, MAX_DEPTH,
                                   splits=splits)
-            for sl in dtree.extract_slices(tree, features, filters):
-                if sl.predicates not in counts:
+            for key in dtree.extract_slices(tree, features, filters):
+                if key not in counts:
+                    sl = Slice._make((key, Heuristic.DT, len(key)))
                     stats = evaluate_slice(dataset, sl)
-                    counts[sl.predicates] = stats.support, stats.correct
+                    counts[key] = stats.support, stats.correct
                     if filters.admits(stats.support, stats.correct):
                         generated.append(sl)
     return generated

@@ -29,10 +29,12 @@ gate-passing slices of a 2,000-row order-2 run, over 568 distinct draws.
 on far larger inputs, where a full cache holds about 12 MiB.  ``_masses``
 keeps the masses of eight draw counts: each round of ``run_analysis`` asks
 its tails in ascending support, so few entries are enough.  On that run
-eight entries (or one) make 648 builds where 256 made 592; on a 20,000-row
-order-2 run (planted, seed 1), 5,117 builds against 5,109, while the
-memo's tuples and floats peak at 0.40 MiB against 12.9 MiB for 256
-entries (sizes summed over the run's sequence of draw counts).
+eight entries make 680 builds, one entry 690 and 256 entries 571.  On a
+20,000-row order-2 run (planted, seed 1: 28,710 tails over 5,030 draws)
+they make 5,132, 5,137 and 5,081 builds, while the memo's tuples and
+floats peak at about 0.4 MiB against 12.9 MiB for 256 entries (sizes
+summed over the run's sequence of draw counts).  Measured at commit
+785628b.
 """
 
 from __future__ import annotations

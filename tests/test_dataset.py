@@ -260,6 +260,20 @@ class TestInferKinds:
         assert ds.features["x"].kind is FeatureKind.CATEGORICAL
         assert ds.features["x"].labels == ("a", "b", "nan")
         assert not np.isnan(ds.features["x"].values).any()
+        assert ds.mixed_columns == ()  # a non-finite token is no number
+
+    @pytest.mark.parametrize("column, overrides, want", [
+        (["", "1.5", "NA", "2.5", "n/a"], {}, (("x", "NA", 4),)),
+        (["NA", "1.5"], {}, (("x", "NA", 2),)),
+        (["NA", "1.5"], {"x": FeatureKind.CATEGORICAL}, ()),
+        (["a", "b", ""], {}, ()),
+        (["1.5", "", "2.5"], {}, ()),
+    ])
+    def test_text_cell_among_numbers_is_recorded(self, tmp_path, column,
+                                                 overrides, want):
+        # the first non-numeric cell, by file line (the header is line 1)
+        ds, _ = self.build(tmp_path, column, overrides=overrides)
+        assert ds.mixed_columns == want
 
 
 class TestSummarize:

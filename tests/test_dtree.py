@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sliceminer.dataset import Dataset, Feature, FeatureKind
 from sliceminer.dtree import best_split, extract_slices, fit_tree
-from sliceminer.model import Filters, Interval, ValueSet
+from sliceminer.model import Filters, Heuristic, Interval, Slice, ValueSet
 from sliceminer.report import render_predicate
 from sliceminer.slicer import evaluate_slice
 
@@ -199,10 +199,10 @@ class TestFitTree:
         assert shape(t1) == shape(t2)
 
 
-def member_mask(features, slice_obj):
+def member_mask(features, key):
     mask = np.ones(features[0].values.size, dtype=bool)
     by_name = {feature.name: feature for feature in features}
-    for name, pred in slice_obj.predicates:
+    for name, pred in key:
         values = by_name[name].values
         if isinstance(pred, ValueSet):
             mask &= np.isin(values, np.asarray(pred.codes, dtype=float))
@@ -211,8 +211,8 @@ def member_mask(features, slice_obj):
     return mask
 
 
-def count_members(features, slice_obj, correctness):
-    mask = member_mask(features, slice_obj)
+def count_members(features, key, correctness):
+    mask = member_mask(features, key)
     return int(mask.sum()), int(np.asarray(correctness)[mask].sum())
 
 
@@ -250,7 +250,7 @@ class TestExtractSlices:
                              Filters(min_support=2, perf_threshold=0.5,
                                      p_value_max=0.05))
         assert len(got) == 1
-        (name, pred), = got[0].predicates
+        (name, pred), = got[0]
         assert name == "f"
         assert pred == Interval(3.0, 5.0)
         assert count_members(features, got[0], correct) == (3, 0)
@@ -262,8 +262,8 @@ class TestExtractSlices:
         correct = rng.random(400) < 0.65
         tree = fit_tree(features, correct, min_leaf=10, max_depth=5)
         filters = Filters(min_support=10, perf_threshold=0.75, p_value_max=0.05)
-        for sl in extract_slices(tree, features, filters):
-            n, k = count_members(features, sl, correct)
+        for key in extract_slices(tree, features, filters):
+            n, k = count_members(features, key, correct)
             assert n >= filters.min_support
             assert k / n <= filters.perf_threshold
 
@@ -276,10 +276,10 @@ class TestExtractSlices:
                              Filters(min_support=2, perf_threshold=0.5,
                                      p_value_max=0.05))
         assert got
-        weak = [sl for sl in got for _, pred in sl.predicates
+        weak = [key for key in got for _, pred in key
                 if isinstance(pred, ValueSet) and pred.codes == (0, 1)]
         assert weak, "adjacent codes not aggregated into one value set"
-        (_, pred), = weak[0].predicates
+        (_, pred), = weak[0]
         # the set holds codes; its labels are read through the feature
         assert render_predicate(pred, features[0].labels) == "(red, green)"
 
@@ -292,11 +292,11 @@ class TestExtractSlices:
         got = extract_slices(tree, features,
                              Filters(min_support=5, perf_threshold=0.5,
                                      p_value_max=0.05))
-        assert any(sl.order == 1 for sl in got)
-        band = [sl for sl in got
-                if count_members(features, sl, correct)[1] == 0]
+        assert any(len(key) == 1 for key in got)
+        band = [key for key in got
+                if count_members(features, key, correct)[1] == 0]
         assert band, "no harvested node isolates the false band"
-        (_, interval), = band[0].predicates
+        (_, interval), = band[0]
         assert 0.4 <= interval.low < interval.high <= 0.6
 
     @pytest.mark.parametrize("seed", range(24))
@@ -327,12 +327,13 @@ class TestExtractSlices:
         got = extract_slices(tree, features, filters)
         nodes = harvested_nodes(tree, filters)
         assert len(got) == len(nodes)
-        keys = [sl.predicate_key() for sl in got]
-        assert len(set(keys)) == len(keys)
+        assert len(set(got)) == len(got)
         usable = np.flatnonzero(
             np.all([np.isfinite(f.values) for f in features], axis=0))
-        for sl, node in zip(got, nodes):
-            members = usable[member_mask(features, sl)[usable]]
+        for key, node in zip(got, nodes):
+            names = [name for name, _ in key]
+            assert names == sorted(set(names))  # a Slice's predicates
+            members = usable[member_mask(features, key)[usable]]
             assert np.array_equal(members, node.rows)
 
     def test_missing_off_path_cells_counted_by_evaluation(self):
@@ -345,14 +346,14 @@ class TestExtractSlices:
         features = [continuous("x", x), continuous("y", y)]
         tree = fit_tree(features, correct, min_leaf=2, max_depth=5)
         filters = Filters(min_support=2, perf_threshold=0.5, p_value_max=0.05)
-        (sl,) = extract_slices(tree, features, filters)
+        (key,) = extract_slices(tree, features, filters)
         (node,) = harvested_nodes(tree, filters)
-        assert sl.features == ("x",)
+        assert [name for name, _ in key] == ["x"]
         assert node.size == 17
         dataset = Dataset(features={f.name: f for f in features},
                           correctness=correct, n_records=40,
                           n_correct=int(correct.sum()), rejected_rows=())
-        stats = evaluate_slice(dataset, sl)
+        stats = evaluate_slice(dataset, Slice(key, Heuristic.DT, len(key)))
         assert (stats.support, stats.correct) == (20, 0)
 
 

@@ -1,4 +1,5 @@
-"""The benchmark workloads: report bytes and the benchmark's trace hooks.
+"""The benchmark workloads: report bytes, stderr lines and the benchmark's
+trace hooks.
 
 The inputs are the ones ``perfbench/run.py`` writes for its three workloads
 at seeds 1, 7 and 23; the hashes pin the JSON, markdown and CSV reports the
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,8 +85,8 @@ def sha256(text: str) -> str:
     "planted-2k-o2-seed7", "order3-220-seed7", "null-1500-o2-seed7",
     "planted-2k-o2-seed23", "order3-220-seed23", "null-1500-o2-seed23",
 ])
-def test_report_bytes_unchanged(tmp_path, monkeypatch, writer, rows, max_order,
-                                seed, hashes):
+def test_report_bytes_unchanged(tmp_path, monkeypatch, capsys, writer, rows,
+                                max_order, seed, hashes):
     data = tmp_path / "data.csv"
     report = tmp_path / "report.json"
     getattr(load_fixtures(), writer)(str(data), rows, seed)
@@ -102,6 +104,35 @@ def test_report_bytes_unchanged(tmp_path, monkeypatch, writer, rows, max_order,
     assert code == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == hashes["json"]
     assert {fmt: sha256(text) for fmt, text in renders.items()} == hashes
+    assert " is categorical: " not in capsys.readouterr().err
+
+
+TALLY = re.compile(r"sliceminer: (\w+) order (\d+): "
+                   r"(\d+) candidates, (\d+) reported")
+
+
+@pytest.mark.parametrize("writer, rows, max_order", [
+    ("write_planted", 2000, 2), ("write_planted", 220, 3),
+    ("write_null", 1500, 2)], ids=["planted-2k-o2", "order3-220", "null-1500-o2"])
+def test_stderr_tallies_equal_report_counts(tmp_path, capsys, writer, rows,
+                                            max_order):
+    """Each count line on stderr carries the report's candidate and
+    reported counts of its (heuristic, order), and each key of either map
+    has exactly one line."""
+    data = tmp_path / "data.csv"
+    getattr(load_fixtures(), writer)(str(data), rows, 1)
+    assert cli.main([str(data), "-g", "label", "-p", "pred",
+                     "--max-order", str(max_order)]) == 0
+    captured = capsys.readouterr()
+    counts = json.loads(captured.out)["counts"]
+    tallies = [TALLY.fullmatch(line).groups()
+               for line in captured.err.splitlines()]
+    keys = [f"{heuristic}:{order}" for heuristic, order, _, _ in tallies]
+    assert sorted(keys) == sorted(set(counts["candidates"])
+                                  | set(counts["reported"]))
+    for key, (_, _, candidates, reported) in zip(keys, tallies):
+        assert int(candidates) == counts["candidates"].get(key, 0)
+        assert int(reported) == counts["reported"].get(key, 0)
 
 
 def test_trace_hooks_still_wrap_the_pipeline(tmp_path):
@@ -148,3 +179,27 @@ def test_blank_cell_reads_as_missing(tmp_path):
              if span]
     assert any(float(low) <= lo and float(high) >= hi
                for low, _, high in (span.partition("–") for span in spans))
+
+
+def test_text_cell_in_a_numeric_column_is_named(tmp_path, capsys):
+    """One num_main cell written NA makes the column categorical, as it
+    always has, and the report does not change; stderr names the cell.
+    Forcing the column categorical names nothing."""
+    data = tmp_path / "data.csv"
+    load_fixtures().write_planted(str(data), 2000, 1)
+    lines = data.read_text(encoding="utf-8").split("\n")
+    cells = lines[5].split(",")  # file line 6
+    cells[lines[0].split(",").index("num_main")] = "NA"
+    lines[5] = ",".join(cells)
+    data.write_text("\n".join(lines), encoding="utf-8")
+    named = ("sliceminer: column 'num_main' is categorical: 'NA' on line 6 "
+             "is not a number (if it marks a missing value, pass "
+             "--missing-token)")
+    out = tmp_path / "report.json"
+    for flags, want in (([], [named]), (["--categorical", "num_main"], [])):
+        assert cli.main([str(data), "-g", "label", "-p", "pred",
+                         "--out", str(out), *flags]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if " is categorical: " in line] == want
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f9220dce47392222a5c23a81dbf348b8e3443c7b5ef3c12df9f6ddaf4d5ecded")

@@ -1,4 +1,4 @@
-"""The slice records: checked construction, tuple behaviour, the builders."""
+"""The slice records: checked construction and tuple behaviour."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import re
 
 import pytest
 
-from sliceminer.model import (Heuristic, Interval, Slice, SliceStats, ValueSet,
-                              make_slice)
+from sliceminer.model import Heuristic, Interval, Slice, SliceStats, ValueSet
 
 A = ("a", Interval(0.0, 1.0))
 B = ("b", ValueSet((0, 2)))
@@ -39,19 +38,6 @@ def test_correct_above_support_rejected():
         SliceStats(support=3, correct=4, performance=4 / 3, p_value=1.0)
 
 
-@pytest.mark.parametrize("predicates, order", [({}, 0),
-                                               (dict([A, B, C, D]), 4)])
-def test_make_slice_checks_the_order(predicates, order):
-    with pytest.raises(ValueError,
-                       match=re.escape(f"order must be 1..3, got {order}")):
-        make_slice(predicates, Heuristic.DT)
-
-
-def test_make_slice_sorts_the_names():
-    sl = make_slice(dict([C, A, B]), Heuristic.DT)
-    assert sl == Slice((A, B, C), Heuristic.DT, 3)
-
-
 def test_records_are_tuples():
     sl = Slice((A, B), Heuristic.HPD, 2)
     stats = SliceStats(support=10, correct=4, performance=0.4, p_value=0.01)
@@ -75,7 +61,7 @@ def test_records_are_tuples():
 
 
 def test_equal_slices_equal_and_hash_alike():
-    one = make_slice(dict([B, A]), Heuristic.CATEGORICAL)
+    one = Slice((A, B), Heuristic.CATEGORICAL, 2)
     other = Slice((("a", Interval(0.0, 1.0)), ("b", ValueSet((0, 2)))),
                   Heuristic.CATEGORICAL, 2)
     assert one == other and hash(one) == hash(other)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sliceminer import report
 from sliceminer.dataset import FeatureKind, IngestConfig, load_table
-from sliceminer.model import Heuristic, Interval, SliceStats, ValueSet, make_slice
+from sliceminer.model import Heuristic, Interval, Slice, SliceStats, ValueSet
 from sliceminer.report import (CSV_COLUMNS, FORMATS, build_report, render,
                                render_predicate, summarize_supports)
 from sliceminer.slicer import AnalysisConfig, membership, run_analysis
@@ -50,7 +50,7 @@ class TestSummarizeSupports:
                           p_value=0.01)
 
     def test_two_element_group(self):
-        sl = make_slice({"f": ValueSet((0,))}, Heuristic.HPD)
+        sl = Slice((("f", ValueSet((0,))),), Heuristic.HPD, 1)
         groups = summarize_supports([(sl, self.stats(3)), (sl, self.stats(80))])
         got = groups[("hpd", 1)]
         assert (got["min"], got["max"]) == (3, 80)
@@ -58,7 +58,7 @@ class TestSummarizeSupports:
         assert got["std"] == pytest.approx(38.5)
 
     def test_single_slice(self):
-        sl = make_slice({"f": ValueSet((0,))}, Heuristic.DT)
+        sl = Slice((("f", ValueSet((0,))),), Heuristic.DT, 1)
         got = summarize_supports([(sl, self.stats(17))])[("dt", 1)]
         assert got == {"heuristic": "dt", "order": 1, "count": 1, "min": 17,
                        "avg": 17, "max": 17, "std": 0.0}
@@ -67,9 +67,9 @@ class TestSummarizeSupports:
         assert summarize_supports([]) == {}
 
     def test_groups_are_separate(self):
-        a = make_slice({"f": ValueSet((0,))}, Heuristic.HPD)
-        b = make_slice({"f": ValueSet((0,)),
-                        "g": ValueSet((0,))}, Heuristic.HPD)
+        a = Slice((("f", ValueSet((0,))),), Heuristic.HPD, 1)
+        b = Slice((("f", ValueSet((0,))), ("g", ValueSet((0,)))),
+                  Heuristic.HPD, 2)
         groups = summarize_supports([(a, self.stats(10)), (b, self.stats(20))])
         assert set(groups) == {("hpd", 1), ("hpd", 2)}
 
@@ -179,8 +179,9 @@ class TestPredicateStrings:
                 feature = ds.features[name]
                 text = render_predicate(pred, feature.labels)
                 back = parse_predicate(text, feature.kind, feature.labels)
-                rebuilt = make_slice(
-                    {**dict(sl.predicates), name: back}, sl.heuristic)
+                rebuilt = Slice(tuple(
+                    (other, back if other == name else kept)
+                    for other, kept in sl.predicates), sl.heuristic, sl.order)
                 assert (membership(ds, rebuilt) == membership(ds, sl)).all()
 
 

@@ -16,7 +16,7 @@ from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
                                 IngestConfig, load_table, summarize)
 from sliceminer.hpd import HpdConfig
 from sliceminer.model import (Filters, Heuristic, Interval, Slice, SliceStats,
-                              ValueSet, make_slice)
+                              ValueSet)
 from sliceminer.oracle import exact_hypergeom_pvalue
 from sliceminer.slicer import (AnalysisConfig, _rank, _split_around,
                                evaluate_slice, filter_and_rank,
@@ -95,8 +95,7 @@ def statlog_like(tmp_path):
 class TestEvaluateSlice:
     def test_full_coverage_gives_p_one(self, tmp_path):
         ds = statlog_like(tmp_path)
-        full = make_slice(
-            {"amount": Interval(0.0, 299.0)}, Heuristic.HPD)
+        full = Slice((("amount", Interval(0.0, 299.0)),), Heuristic.HPD, 1)
         stats = evaluate_slice(ds, full)
         assert stats.support == 300 and stats.correct == 230
         assert stats.p_value == pytest.approx(1.0)
@@ -105,8 +104,8 @@ class TestEvaluateSlice:
         ds = statlog_like(tmp_path)
         labels = ds.features["credithistory"].labels
         code = labels.index("5")
-        sl = make_slice({"credithistory": ValueSet((code,))},
-                        Heuristic.CATEGORICAL)
+        sl = Slice((("credithistory", ValueSet((code,))),),
+                   Heuristic.CATEGORICAL, 1)
         stats = evaluate_slice(ds, sl)
         assert (stats.support, stats.correct) == (21, 14)
         assert stats.performance == pytest.approx(0.667, abs=5e-4)
@@ -114,15 +113,14 @@ class TestEvaluateSlice:
 
     def test_empty_slice_distinguished(self, tmp_path):
         ds = statlog_like(tmp_path)
-        sl = make_slice(
-            {"amount": Interval(1000.0, 2000.0)}, Heuristic.HPD)
+        sl = Slice((("amount", Interval(1000.0, 2000.0)),), Heuristic.HPD, 1)
         stats = evaluate_slice(ds, sl)
         assert stats.support == 0 and stats.correct == 0
         assert math.isnan(stats.performance) and stats.p_value == 1.0
 
     def test_unknown_feature_rejected(self, tmp_path):
         ds = statlog_like(tmp_path)
-        sl = make_slice({"ghost": ValueSet((0,))}, Heuristic.CATEGORICAL)
+        sl = Slice((("ghost", ValueSet((0,))),), Heuristic.CATEGORICAL, 1)
         with pytest.raises(ValueError):
             evaluate_slice(ds, sl)
 
@@ -130,7 +128,7 @@ class TestEvaluateSlice:
         ds = dataset_from_columns(
             tmp_path, {"x": [1.0, "", 2.0, 3.0]},
             [True, True, False, True])
-        sl = make_slice({"x": Interval(0.0, 10.0)}, Heuristic.HPD)
+        sl = Slice((("x", Interval(0.0, 10.0)),), Heuristic.HPD, 1)
         assert evaluate_slice(ds, sl).support == 3
 
 
@@ -195,7 +193,7 @@ class TestGenerateHigherOrder:
     def test_single_feature_dataset_yields_nothing(self, tmp_path):
         ds = dataset_from_columns(
             tmp_path, {"only": [0, 1] * 30}, [True, False] * 30)
-        seed = make_slice({"only": ValueSet((0,))}, Heuristic.CATEGORICAL)
+        seed = Slice((("only", ValueSet((0,))),), Heuristic.CATEGORICAL, 1)
         filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
         out = generate_higher_order(ds, [seed], 2, AnalysisConfig(), filters, {})
         assert out == []
@@ -203,8 +201,8 @@ class TestGenerateHigherOrder:
     def test_seed_of_order_three_rejected(self, tmp_path):
         ds = dataset_from_columns(
             tmp_path, {name: [0, 1] * 30 for name in "abcd"}, [True] * 60)
-        seed = make_slice({name: ValueSet((0,)) for name in "abc"},
-                          Heuristic.CATEGORICAL)
+        seed = Slice(tuple((name, ValueSet((0,))) for name in "abc"),
+                     Heuristic.CATEGORICAL, 3)
         with pytest.raises(ValueError, match=r"order must be 1\.\.3, got 4"):
             generate_higher_order(ds, [seed], 4, AnalysisConfig(),
                                   EVERYTHING, {})
@@ -237,9 +235,7 @@ class TestGenerateHigherOrder:
             tmp_path,
             {"group": group.tolist(), "x": [f"{v:.9f}" for v in x]},
             correct.tolist())
-        seed = make_slice(
-            {"group": ValueSet((0,))},
-            Heuristic.CATEGORICAL)
+        seed = Slice((("group", ValueSet((0,))),), Heuristic.CATEGORICAL, 1)
         assert ds.features["group"].labels[0] == "g"
         filters = Filters(min_support=5, perf_threshold=0.8, p_value_max=0.05)
         config = AnalysisConfig(heuristics=frozenset({Heuristic.HPD,
@@ -268,6 +264,28 @@ class TestGenerateHigherOrder:
                      and evaluate_slice(ds, sl).performance == 0.0]
         assert len(quadrants) >= 2
 
+    def test_known_tree_keys_build_no_slice(self, tmp_path, monkeypatch):
+        # a tree key already in the registry is skipped before any Slice
+        # is built for it
+        ds = random_dataset(tmp_path, 5)
+        config = AnalysisConfig(heuristics=frozenset({Heuristic.DT}))
+        built = []
+        make = Slice._make.__func__
+
+        def counting_make(cls, fields):
+            built.append(fields)
+            return make(cls, fields)
+
+        monkeypatch.setattr(Slice, "_make", classmethod(counting_make))
+        registry = {}
+        assert generate_higher_order(ds, [], 2, config, EVERYTHING, registry,
+                                     splits={})
+        assert built  # every key the trees yield is now in the registry
+        built.clear()
+        assert generate_higher_order(ds, [], 2, config, EVERYTHING, registry,
+                                     splits={}) == []
+        assert built == []
+
     def test_order_three_via_conditioning(self, tmp_path):
         n = 600
         rng = np.random.default_rng(17)
@@ -290,8 +308,8 @@ class TestFilterAndRank:
     def test_insignificant_candidate_dropped(self, tmp_path):
         ds = statlog_like(tmp_path)
         labels = ds.features["credithistory"].labels
-        sl = make_slice({"credithistory": ValueSet((labels.index("5"),))},
-                        Heuristic.CATEGORICAL)
+        sl = Slice((("credithistory", ValueSet((labels.index("5"),))),),
+                   Heuristic.CATEGORICAL, 1)
         stats = evaluate_slice(ds, sl)  # p ~ 0.193
         filters = Filters(min_support=2, perf_threshold=0.9, p_value_max=0.05)
         assert filter_and_rank([(sl, stats)], filters) == []
@@ -301,9 +319,8 @@ class TestFilterAndRank:
         assert filter_and_rank([], filters) == []
 
     def test_ranking_by_pvalue_then_support(self):
-        a = make_slice({"a": ValueSet((0,))}, Heuristic.CATEGORICAL)
-        b = make_slice({"b": ValueSet((0,))}, Heuristic.CATEGORICAL)
-        c = make_slice({"c": ValueSet((0,))}, Heuristic.CATEGORICAL)
+        a, b, c = (Slice(((name, ValueSet((0,))),), Heuristic.CATEGORICAL, 1)
+                   for name in "abc")
         evaluated = [
             (a, SliceStats(support=10, correct=1, performance=0.1, p_value=0.01)),
             (b, SliceStats(support=30, correct=3, performance=0.1, p_value=0.001)),
@@ -481,8 +498,8 @@ class TestRunAnalysis:
         inside = next(sl for sl in generate_higher_order(
             ds, [by_category], 2, config, EVERYTHING, {})
             if sl.features == ("cat1", "x"))
-        by_interval = make_slice({"x": dict(inside.predicates)["x"]},
-                                 Heuristic.HPD)
+        by_interval = Slice((("x", dict(inside.predicates)["x"]),),
+                            Heuristic.HPD, 1)
         for seeds, heuristic in (([by_category, by_interval], Heuristic.HPD),
                                  ([by_interval, by_category],
                                   Heuristic.CATEGORICAL)):
@@ -792,8 +809,10 @@ class TestCountedInsideTheSeed:
                           p_value_max=0.05)
         everything, counts = {}, {}
         if seed_names:
-            seed = make_slice({name: seed_predicate(data.draw, dataset.features[name])
-                               for name in seed_names}, Heuristic.CATEGORICAL)
+            chosen = {name: seed_predicate(data.draw, dataset.features[name])
+                      for name in seed_names}
+            seed = Slice(tuple(sorted(chosen.items())), Heuristic.CATEGORICAL,
+                         len(chosen))
             order = seed.order + 1
             ungated = generate_higher_order(dataset, [seed], order, self.CONFIG,
                                             EVERYTHING, everything)
