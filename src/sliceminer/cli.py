@@ -12,27 +12,21 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
-from dataclasses import fields
 
-import numpy as np
-
-from . import stats
 from .dataset import (ConfigError, DataError, FeatureKind, IngestConfig,
                       load_table)
-from .dtree import best_split
-from .hpd import _LOOP_WINDOWS, HpdConfig, min_width_window
-from .model import Heuristic, Interval
+from .hpd import HpdConfig
+from .model import Heuristic
 from .report import FORMATS, build_report, render
 from .slicer import AnalysisConfig, run_analysis
 
-__all__ = ["run", "self_check", "main"]
+__all__ = ["run", "main"]
 
 _HEURISTIC_NAMES = tuple(sorted(h.value for h in Heuristic))
 _ANALYSIS = AnalysisConfig()
-_INGEST = {f.name: f.default for f in fields(IngestConfig)}
+_INGEST = IngestConfig._field_defaults
 _CHUNK = 1 << 16  # report characters encoded and written at a time
 
 
@@ -226,74 +220,11 @@ def _configs(args: argparse.Namespace) -> tuple[IngestConfig, AnalysisConfig]:
     return ingest, analysis
 
 
-def self_check() -> int:
-    """Field verification of the numerics against built-in worked examples."""
-    # imported here: only the self-check needs the exact oracle
-    from . import oracle
-
-    checks: dict[str, bool] = {}
-    p = stats.hypergeom_lower_pvalue(300, 230, 21, 14)
-    checks["lower tail (300,230,21,14) ~ 0.193"] = 0.188 <= p <= 0.198
-    largest = max(k for k in range(0, 22)
-                  if stats.hypergeom_lower_pvalue(300, 230, 21, k) < 0.05)
-    checks["largest significant correct count at n=21 is 12"] = largest == 12
-    exact = float(oracle.exact_hypergeom_pvalue(10, 5, 4, 1))
-    fast = stats.hypergeom_lower_pvalue(10, 5, 4, 1)
-    checks["tail (10,5,4,1) matches exact 55/210"] = (
-        abs(fast - exact) <= 1e-10 * exact)
-    exact_big = float(oracle.exact_hypergeom_pvalue(300, 230, 21, 14))
-    checks["tail (300,230,21,14) matches exact rational"] = (
-        abs(p - exact_big) <= 1e-10 * exact_big)
-    # its lower part drops 184 of 231 masses below the certificate's cut
-    checks["far tail (2000,1700,300,230) is the exact rational's float"] = (
-        stats.hypergeom_lower_pvalue(2000, 1700, 300, 230)
-        == float(oracle.exact_hypergeom_pvalue(2000, 1700, 300, 230)))
-    low, high = stats.wilson_interval(230, 300, 0.95)
-    checks["wilson 230/300 ~ [0.7156, 0.8110]"] = (
-        abs(low - 0.715619) < 1e-5 and abs(high - 0.810972) < 1e-5)
-    # the window search hpd_scan runs, sized for a share of the values: the
-    # loop takes 3 windows of [0,1,2,3,10], numpy 21 windows of 0..39
-    for name, values, share, low, high, loop in (
-            ("[0,1,2,3,10]@0.6 is [0,2]", [0.0, 1.0, 2.0, 3.0, 10.0], 0.6,
-             0.0, 2.0, True),
-            ("0..39@0.5 is [0,19]", [float(x) for x in range(40)], 0.5,
-             0.0, 19.0, False)):
-        n = len(values)
-        m = min(n, max(1, math.ceil(share * n)))
-        i = min_width_window(np.array(values), values, 0, n, m)
-        window = Interval(values[i], values[i + m - 1])
-        checks[f"window search {name}"] = (
-            (n - m < _LOOP_WINDOWS) is loop
-            and window == Interval(low, high)
-            and window == oracle.exhaustive_shortest_interval(values, share))
-    checks["best split of [0,1,2,3] vs [T,T,F,F] is (1.0, 0.5)"] = (
-        best_split([0, 1, 2, 3], [True, True, False, False], 1) == (1.0, 0.5))
-
-    rng = np.random.default_rng(7)
-    agree = True
-    for _ in range(50):  # lo <= hi always holds: draws <= population
-        population = int(rng.integers(2, 61))
-        successes = int(rng.integers(0, population + 1))
-        draws = int(rng.integers(1, population + 1))
-        lo = max(0, draws - (population - successes))
-        observed = int(rng.integers(lo, min(draws, successes) + 1))
-        want = float(oracle.exact_hypergeom_pvalue(population, successes,
-                                                   draws, observed))
-        got = stats.hypergeom_lower_pvalue(population, successes, draws, observed)
-        agree = agree and abs(got - want) <= 1e-10 * max(want, 1e-300)
-    checks["random sweep matches exact oracle (N<=60)"] = agree
-
-    for name, ok in checks.items():
-        print(f"self-check: {name}: {'PASS' if ok else 'FAIL'}")
-    passed = sum(checks.values())
-    print(f"self-check: {passed}/{len(checks)} passed")
-    return 0 if passed == len(checks) else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.self_check:
+        from .oracle import self_check  # only the self-check needs it
         return self_check()
     if args.input is None:
         parser.error("input file is required (use - for stdin)")

@@ -14,9 +14,9 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,21 +48,25 @@ class FeatureKind(Enum):
     CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """How to read a table: two distinct target columns, the delimiter, the
-    missing token (besides the empty cell; compared stripped, like every
-    cell) and how feature kinds are decided."""
-
+class _IngestFields(NamedTuple):
     ground_truth: str
     prediction: str
     delimiter: str = ","
     missing_token: str = ""
     categorical_threshold: int = 10
-    overrides: Mapping[str, FeatureKind] = field(default_factory=dict)
+    overrides: Mapping[str, FeatureKind] = MappingProxyType({})
     all_numeric: bool = False
 
-    def __post_init__(self):
+
+class IngestConfig(_IngestFields):
+    """How to read a table: two distinct target columns, the delimiter, the
+    missing token (besides the empty cell; compared stripped, like every
+    cell) and how feature kinds are decided.  ``overrides`` defaults to one
+    read-only empty mapping."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
             raise ConfigError(f"delimiter must be one character other than a "
                               f"quote or line break, got {self.delimiter!r}")
@@ -72,8 +76,14 @@ class IngestConfig:
             raise ConfigError("ground-truth and prediction must be distinct columns")
 
 
-@dataclass(frozen=True)
-class Feature:
+class _FeatureFields(NamedTuple):
+    name: str
+    kind: FeatureKind
+    values: np.ndarray
+    labels: tuple[str, ...]
+
+
+class Feature(_FeatureFields):
     """One feature column.
 
     ``values`` (float64, read-only) holds the parsed number of a continuous
@@ -82,17 +92,13 @@ class Feature:
     categorical feature, in code order; a continuous feature has none.
     """
 
-    name: str
-    kind: FeatureKind
-    values: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         self.values.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Immutable columnar table plus the derived correctness mask."""
 
     features: dict[str, Feature]  # header order
@@ -109,8 +115,7 @@ class Dataset:
         return tuple(self.features)
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
+class DatasetSummary(NamedTuple):
     n_records: int
     n_correct: int
     metric: float

@@ -18,7 +18,6 @@ holds results only, no rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,14 +28,27 @@ from .model import Filters, Interval, ValueSet
 __all__ = ["TreeNode", "best_split", "fit_tree", "extract_slices"]
 
 
-@dataclass
 class TreeNode:
-    rows: np.ndarray  # dataset row indices of the node's records, ascending
-    n_true: int
-    feature: Optional[str] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = field(default=None, repr=False)
-    right: Optional["TreeNode"] = field(default=None, repr=False)
+    """A node: its rows, their correct count and, once split, the split
+    (a row goes left iff its ``feature`` value is at most ``threshold``)."""
+
+    __slots__ = ("rows", "n_true", "feature", "threshold", "left", "right")
+
+    def __init__(self, rows: np.ndarray, n_true: int,
+                 feature: Optional[str] = None,
+                 threshold: Optional[float] = None,
+                 left: Optional[TreeNode] = None,
+                 right: Optional[TreeNode] = None):
+        self.rows = rows  # dataset row indices of the node's records, ascending
+        self.n_true = n_true
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+
+    def __repr__(self):
+        return (f"TreeNode(rows={self.rows!r}, n_true={self.n_true!r}, "
+                f"feature={self.feature!r}, threshold={self.threshold!r})")
 
     @property
     def is_leaf(self) -> bool:

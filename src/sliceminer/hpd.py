@@ -32,7 +32,7 @@ emitted intervals are counted on the sorted sample the scan started from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,13 +49,18 @@ _TIE_TOLERANCE = 1e-12
 _LOOP_WINDOWS = 16
 
 
-@dataclass(frozen=True)
-class HpdConfig:
+class _HpdFields(NamedTuple):
     initial_density: float = 0.90
     epsilon: float = 0.05
     min_density_floor: float = 0.10
 
-    def __post_init__(self):
+
+class HpdConfig(_HpdFields):
+    """The shrink loop's start density, step and stopping floor."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         if not 0.0 < self.min_density_floor < self.initial_density <= 1.0:
             raise ValueError(
                 f"need 0 < min_density_floor < initial_density <= 1, got "
@@ -106,10 +111,11 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
     if vals.size < 2:
         return [], [], []
 
+    initial_density, epsilon, min_density_floor = config
     order = np.argsort(vals, kind="stable")
     ranked = vals[order]
     original = ranked.size
-    stop_records = config.min_density_floor * original
+    stop_records = min_density_floor * original
     # record i's run of equal values is [i - behind[i], i + ahead[i]); a
     # restart drops whole runs, so these offsets hold in every working sample
     index = np.arange(original)
@@ -127,10 +133,10 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
             n = work_v.size
             cum = work_cum.tolist()
 
-            density = config.initial_density
+            density = initial_density
             # the shrink budget scales with how much of the original sample
             # is left
-            density_floor = config.min_density_floor * (n / original)
+            density_floor = min_density_floor * (n / original)
             m = min(math.ceil(density * n), n)
             # a window of the whole sample is the only one: no search
             j = min_width_window(work_v, bound, 0, n, m) if m < n else 0
@@ -138,7 +144,7 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
             lo, hi = j - behind[j], k - 1 + ahead[k - 1]
             acc = (cum[hi] - cum[lo]) / (hi - lo)
             while True:
-                density -= config.epsilon
+                density -= epsilon
                 if density < density_floor:
                     break
                 m = math.ceil(density * n)

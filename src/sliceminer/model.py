@@ -16,11 +16,24 @@ keys over a tree's 1-3 features; ``slicer.evaluate_slice`` and
 
 A category predicate, ``ValueSet``, is its codes alone: the labels they
 stand for are kept once, on the feature (``dataset.Feature.labels``).
+
+No record is a dataclass: a frozen dataclass compiles five generated
+methods when its module is imported, about 1 ms a class.  The value records
+(``ValueSet`` here; ``HpdConfig``, ``AnalysisConfig``, ``AnalysisResult``,
+``IngestConfig``, ``Feature``, ``Dataset`` and ``DatasetSummary``
+elsewhere) are tuples, as ``Slice`` is: read-only, compared and hashed in
+C.  A record with checks is a ``NamedTuple`` field base, where each default
+is written once, and a subclass with ``__slots__ = ()`` whose ``__init__``
+checks the built fields and raises ``ValueError`` (``ConfigError`` for
+``IngestConfig``); as for ``Slice``, ``_make`` and ``_replace`` skip the
+checks.  Two records are classes with ``__slots__`` instead, since Python
+3.11 reads a slot faster than a tuple field: ``Filters``, read-only, whose
+``admits`` runs once per candidate, and ``dtree.TreeNode``, which
+``fit_tree`` fills in as it splits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -53,13 +66,16 @@ class Heuristic(str, Enum):
     DT = "dt"
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """Category codes, strictly ascending; their labels are the feature's."""
-
+class _ValueSetFields(NamedTuple):
     codes: tuple[int, ...]
 
-    def __post_init__(self):
+
+class ValueSet(_ValueSetFields):
+    """Category codes, strictly ascending; their labels are the feature's."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         if not self.codes:
             raise ValueError("ValueSet needs at least one code")
         if any(b <= a for a, b in zip(self.codes, self.codes[1:])):
@@ -127,19 +143,46 @@ class SliceStats(_SliceStatsFields):
         return tuple.__new__(cls, (support, correct, performance, p_value))
 
 
-@dataclass(frozen=True)
 class Filters:
-    """The three reporting gates: support, performance gap, significance."""
+    """The three reporting gates: support, performance gap, significance.
 
-    min_support: int
-    perf_threshold: float
-    p_value_max: float
+    Read-only once built; equal and hashed by its three values."""
 
-    def __post_init__(self):
-        if self.min_support < 2:
-            raise ValueError(f"min_support must be >= 2, got {self.min_support}")
-        if not 0.0 < self.p_value_max < 1.0:
-            raise ValueError(f"p_value_max must be in (0, 1), got {self.p_value_max}")
+    __slots__ = ("min_support", "perf_threshold", "p_value_max")
+
+    def __init__(self, min_support: int, perf_threshold: float,
+                 p_value_max: float):
+        if min_support < 2:
+            raise ValueError(f"min_support must be >= 2, got {min_support}")
+        if not 0.0 < p_value_max < 1.0:
+            raise ValueError(f"p_value_max must be in (0, 1), got {p_value_max}")
+        for name, value in zip(self.__slots__,
+                               (min_support, perf_threshold, p_value_max)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Filters is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Filters is read-only: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return self.min_support, self.perf_threshold, self.p_value_max
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return Filters, self._key()
+
+    def __repr__(self):
+        return (f"Filters(min_support={self.min_support!r}, perf_threshold="
+                f"{self.perf_threshold!r}, p_value_max={self.p_value_max!r})")
 
     def admits(self, support: int, correct: int) -> bool:
         """The support and performance gates: at least ``min_support``

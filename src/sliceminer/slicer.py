@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,18 +54,23 @@ ALL_HEURISTICS = frozenset({Heuristic.CATEGORICAL, Heuristic.HPD, Heuristic.DT})
 MAX_DEPTH = 5  # decision trees split no node at this depth
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class _AnalysisFields(NamedTuple):
     heuristics: frozenset = ALL_HEURISTICS
     max_order: int = 2
-    hpd: HpdConfig = field(default_factory=HpdConfig)
+    hpd: HpdConfig = HpdConfig()
     p_value_max: float = 0.05
     gap: float = 0.04
     support_fraction: float = 0.05
     support_floor: int = 2
     ci_level: float = 0.95
 
-    def __post_init__(self):
+
+class AnalysisConfig(_AnalysisFields):
+    """Every knob of one analysis run; the HPD knobs are ``hpd``'s."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         if not 1 <= self.max_order <= 3:
             raise ValueError(f"max_order must be 1..3, got {self.max_order}")
         if not 0.0 < self.p_value_max < 1.0:
@@ -86,8 +90,7 @@ class AnalysisConfig:
                              f"{sorted(h.value for h in ALL_HEURISTICS)}")
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     summary: DatasetSummary
     filters: Filters
     reported: tuple[tuple[Slice, SliceStats], ...]

@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from sliceminer import cli
-from sliceminer.cli import build_parser, main, self_check
+from sliceminer.cli import build_parser, main
+from sliceminer.dataset import IngestConfig
+from sliceminer.oracle import self_check
 from sliceminer.report import FORMATS
+from sliceminer.slicer import AnalysisConfig
 from tests.conftest import child_environ, write_csv
 
 
@@ -502,27 +505,31 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_default_run_loads_neither_numpy_ma_nor_oracle(self, mixed_csv):
+    def test_default_run_loads_neither_numpy_ma_nor_oracle(self, mixed_csv,
+                                                           tmp_path):
         # np.unique loads numpy.ma on numpy 2.x; the exact oracle serves
         # only --self-check; generation runs in one thread, so no
-        # concurrent.futures.  The table has a categorical feature, so trees
-        # concretize value sets.
+        # concurrent.futures; no record is a dataclass, so importing
+        # generates no methods and no dataclasses module.  The table has a
+        # categorical feature, so trees concretize value sets.
+        report = tmp_path / "report.json"
         code = (
             "import json, sys\n"
-            "import sliceminer.cli as cli\n"
-            "from sliceminer import AnalysisConfig, IngestConfig\n"
-            "watched = {'numpy.ma', 'sliceminer.oracle', 'concurrent'}\n"
+            "import sliceminer, sliceminer.cli as cli\n"
+            "watched = {'numpy.ma', 'sliceminer.oracle', 'concurrent',\n"
+            "           'dataclasses'}\n"
             "imported = sorted(watched & set(sys.modules))\n"
-            "ds = cli.load_table(sys.argv[1], IngestConfig('label', 'pred'))\n"
-            "result = cli.run_analysis(ds, AnalysisConfig())\n"
+            "code = cli.main([sys.argv[1], '-g', 'label', '-p', 'pred',\n"
+            "                 '--out', sys.argv[2]])\n"
             "print(json.dumps([imported, sorted(watched & set(sys.modules)),\n"
-            "                  sorted(result.candidate_counts)]))\n")
-        proc = subprocess.run([sys.executable, "-c", code, mixed_csv],
+            "                  code]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, mixed_csv,
+                               str(report)],
                               capture_output=True, text=True, env=child_environ())
         assert proc.returncode == 0, proc.stderr
-        imported, after_run, groups = json.loads(proc.stdout)
-        assert imported == [] and after_run == []
-        assert ["dt", 2] in groups
+        imported, after_run, exit_code = json.loads(proc.stdout)
+        assert imported == [] and after_run == [] and exit_code == 0
+        assert "dt:2" in json.loads(report.read_text())["counts"]["candidates"]
 
 
 class TestHelpAndSelfCheck:
@@ -542,6 +549,12 @@ class TestHelpAndSelfCheck:
             assert default in text
         assert "--workers" not in text
         assert "SLICEMINER_" not in text
+
+    def test_parser_defaults_are_the_field_defaults(self):
+        args = build_parser().parse_args(["in.csv", "-g", "label",
+                                          "-p", "pred"])
+        assert cli._configs(args) == (IngestConfig("label", "pred"),
+                                      AnalysisConfig())
 
     def test_self_check_passes(self, capsys):
         assert self_check() == 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -835,9 +834,9 @@ def evaluate_every_key(dataset, config):
     evaluate each new key against the dataset."""
     summary = summarize(dataset, config.ci_level)
     filters = resolve_filters(summary, config)
-    conditioning = replace(config, heuristics=frozenset(
+    conditioning = config._replace(heuristics=frozenset(
         {Heuristic.CATEGORICAL, Heuristic.HPD}) & config.heuristics)
-    trees = replace(config, heuristics=frozenset({Heuristic.DT}))
+    trees = config._replace(heuristics=frozenset({Heuristic.DT}))
 
     seen = set()
     candidates = []
