@@ -75,7 +75,7 @@ def self_check() -> int:
     exact_big = float(exact_hypergeom_pvalue(300, 230, 21, 14))
     checks["tail (300,230,21,14) matches exact rational"] = (
         abs(p - exact_big) <= 1e-10 * exact_big)
-    # its lower part drops 184 of 231 masses below the certificate's cut
+    # its lower part sums 231 masses, the first 10 of them underflowed to 0
     checks["far tail (2000,1700,300,230) is the exact rational's float"] = (
         stats.hypergeom_lower_pvalue(2000, 1700, 300, 230)
         == float(exact_hypergeom_pvalue(2000, 1700, 300, 230)))

@@ -6,43 +6,37 @@ replacement from a test set of ``population`` records containing
 ``observed`` correct ones?  The tail is summed term by term, never
 approximated by a normal.  The masses over the support are built by exact
 ratio recurrence outward from the distribution's mode, and the tail is
-their lower sum over their full sum: the log-gamma anchor then cancels out
+their lower sum over their full sum: the normalizing constant cancels out
 of the quotient, which keeps tail values within ~1e-13 of exact rational
 arithmetic even at population sizes where a direct log-gamma difference
 loses ~1e-9.
 
-The masses of one draw count are one tuple of floats, built once: they
-rise to their largest one, the peak, and fall after it (``_masses`` proves
-this for populations up to 94,906,265 and checks it above).  Each of the
-two sums is ``math.fsum``'s correctly rounded result, taken from the masses
-that can move it (``_exact_sum``): masses more than 2**80 below the part's
-largest one are only counted, and a second sum with their bound added
-certifies that they cannot change the rounding; when it cannot, the full
-``fsum`` is taken.  On unimodal masses the kept ones are one run around
-the part's largest, so bisection on the two flanks finds it, and no
-comparison touches the rest.
+Each of the two sums is exact and rounded once.  Every float is an integer
+times a power of two, so the masses of one draw count, written over the
+smallest such power, are Python ints, and their prefix sums are exact
+(``_prefix_sums``).  A part's sum is then one int quotient, which CPython
+rounds correctly: the same float as ``math.fsum`` (Shewchuk's exact
+summation, DCG 1997) over the part's masses, in one division.
 
 Two memos serve a run, which asks for one (population, successes) pair and
 a few thousand distinct (draws, observed): 3,493 for the 10,466
 gate-passing slices of a 2,000-row order-2 run, over 568 distinct draws.
 ``hypergeom_lower_pvalue`` keeps 2**16 tails; that bound only caps memory
-on far larger inputs, where a full cache holds about 12 MiB.  ``_masses``
-keeps the masses of eight draw counts: each round of ``run_analysis`` asks
-its tails in ascending support, so few entries are enough.  On that run
-eight entries make 680 builds, one entry 690 and 256 entries 571.  On a
-20,000-row order-2 run (planted, seed 1: 28,710 tails over 5,030 draws)
-they make 5,132, 5,137 and 5,081 builds, while the memo's tuples and
-floats peak at about 0.4 MiB against 12.9 MiB for 256 entries (sizes
-summed over the run's sequence of draw counts).  Measured at commit
-785628b.
+on far larger inputs, where a full cache holds about 12 MiB.
+``_prefix_sums`` keeps two draw counts: each round of ``run_analysis``
+asks its tails in ascending support, so few entries are enough.  On that
+run one entry makes 690 builds, two 686 and three 684; on a 20,000-row
+run two and three both make 5,137.  An entry holds an int of up to ~1,100
+bits per mass, so two entries peak at 40.5 KiB on the 2,000-row run,
+three at 60.6 KiB (``sys.getsizeof`` summed over the run's builds).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import neg
+from itertools import accumulate
+from operator import lshift
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -82,40 +76,13 @@ def _support(population: int, successes: int, draws: int) -> tuple[int, int]:
     return lo, hi
 
 
-# Below this population every recurrence factor's integer numerator and
-# denominator (both below population**2) is exact in float64.
-_EXACT_PRODUCTS = 94_906_265  # math.isqrt(2**53 - 1)
+def _masses(population: int, successes: int, draws: int) -> np.ndarray:
+    """Unnormalized masses over the support, 1 at the computed mode.
 
-
-@lru_cache(maxsize=8)
-def _masses(population: int, successes: int, draws: int
-            ) -> tuple[tuple[float, ...], int | None]:
-    """Unnormalized masses over the support, 1 at the computed mode, and
-    the index of the largest one (the peak), or None when they are not
-    unimodal.
-
-    The masses are built by ratio recurrence outward from the computed
-    mode ``m``: ``u[x + 1] = u[x] * r(x)`` above it and ``u[x] = u[x + 1]
-    * (1 / r(x))`` below it, where ``r(x) = (K - x)(n - x) / ((x + 1)(N -
-    K - n + x + 1))`` falls strictly as ``x`` grows.  While ``N <=
-    _EXACT_PRODUCTS``, both integer products lie below ``N**2 < 2**53`` and
-    are exact in float64, so each computed factor is a correctly rounded
-    quotient.  Rounding is monotone and 1 is a float, so the computed
-    ``r(x)`` still fall (weakly) as ``x`` grows, and each factor away from
-    the true mode is at most 1.  A float product by a factor in [0, 1]
-    never rounds above its input, and one by a factor >= 1 never below it.
-    Going outward from ``m``, each side's factors therefore fall: a side
-    rises while its factor exceeds 1 and falls after, and only one side
-    can rise at all (``r(m) > 1`` forces ``r(m - 1) > 1``).  So the masses
-    rise (weakly) to the peak and fall (weakly) after it.  A side of ``m``
-    rises only when ``m`` is not the true mode, which rounding in its
-    formula can cause; that is why the peak is the index of the largest
-    mass and not ``m``.  Above ``_EXACT_PRODUCTS`` a product may round, so
-    the two flanks are checked once per build, and the peak is None when
-    they fail.
-
-    Memoised (eight draw counts; see the module docstring): every caller
-    shares the one returned tuple."""
+    They are built by ratio recurrence outward from the computed mode
+    ``m``: ``u[x + 1] = u[x] * r(x)`` above it and ``u[x] = u[x + 1] * (1 /
+    r(x))`` below it, where ``r(x) = (K - x)(n - x) / ((x + 1)(N - K - n + x
+    + 1))``."""
     lo, hi = _support(population, successes, draws)
     xs = np.arange(lo, hi + 1, dtype=np.float64)
     mode = int(((draws + 1.0) * (successes + 1.0)) // (population + 2.0))
@@ -131,49 +98,33 @@ def _masses(population: int, successes: int, draws: int
             u[i_mode + 1:] = np.cumprod(up[i_mode:])
         if i_mode > 0:
             u[:i_mode] = np.cumprod(1.0 / up[:i_mode][::-1])[::-1]
-    peak = int(u.argmax())
-    if population > _EXACT_PRODUCTS and (
-            (u[1:peak + 1] < u[:peak]).any()
-            or (u[peak + 1:] > u[peak:-1]).any()):
-        peak = None
-    return tuple(u.tolist()), peak
+    return u
 
 
-_CUT = 2.0 ** -80  # terms below the largest one times this are only counted
+@lru_cache(maxsize=2)
+def _prefix_sums(population: int, successes: int, draws: int
+                 ) -> tuple[int, int, tuple[int, ...]]:
+    """The masses of one draw count as exact integer prefix sums ``(start,
+    unit, sums)``: ``sums[j] / unit`` is the exact sum of the masses at
+    ``start`` to ``start + j - 1``.
 
+    Exact zeros at both ends are dropped; they move no sum.  ``np.frexp``
+    writes each other mass as ``f * 2**e``, where ``f * 2**53`` is an
+    integer, so with ``low`` the smallest ``e`` each mass is the integer
+    ``f * 2**53 << (e - low)`` over ``unit = 2**(53 - low)``.
 
-def _exact_sum(masses: tuple[float, ...], peak: int | None, start: int,
-               stop: int) -> float:
-    """``math.fsum(masses[start:stop])`` for a nonempty range of nonnegative
-    floats that rise (weakly) to index ``peak`` and fall after it, summing
-    only the terms at least ``cut = max(part) * 2**-80``.
-
-    The part's largest term is its end on the rising flank, its start on
-    the falling flank, and the peak when the part holds it; on a unimodal
-    sequence the terms at least ``cut`` form one run around it, whose two
-    ends are found by bisection on the flanks.  Each of the ``dropped``
-    other terms lies in ``[0, cut)``, so the exact sum ``S`` of all terms
-    obeys ``sum(kept) <= S < sum(kept) + dropped * cut``, and ``bound = 2 *
-    dropped * cut``, evaluated in floats, is at least ``dropped * cut``:
-    doubling covers the product's rounding, subnormal results included.
-    Rounding to nearest is monotone, so ``fsum(kept) <= fsum(part) <=
-    fsum(kept + [bound])``; when the outer two agree, they are
-    ``fsum(part)``.  Otherwise, or when ``peak`` is None, the full ``fsum``
-    is taken.  The cut lies some 26 bits below half an ulp of the sum, so
-    the fallback happens only when the kept terms sum to within ``bound``
-    of a rounding boundary.
-    """
-    if peak is None:
-        return math.fsum(masses[start:stop])
-    top = min(max(start, peak), stop - 1)
-    cut = masses[top] * _CUT
-    first = bisect_left(masses, cut, start, top)
-    kept = masses[first:bisect_right(masses, -cut, top, stop, key=neg)]
-    total = math.fsum(kept)
-    dropped = stop - start - len(kept)
-    if dropped and math.fsum(kept + (2 * dropped * cut,)) != total:
-        return math.fsum(masses[start:stop])
-    return total
+    Memoised (two draw counts; see the module docstring): every caller
+    shares the one returned tuple."""
+    u = _masses(population, successes, draws)
+    nonzero = np.flatnonzero(u)
+    first = int(nonzero[0])
+    fraction, exponent = np.frexp(u[first:nonzero[-1] + 1])
+    low = int(exponent.min())
+    # float64 shifts: numpy's int32 arithmetic would page in 64 KiB more of it
+    terms = map(lshift, np.ldexp(fraction, 53).astype(np.int64).tolist(),
+                (exponent - float(low)).astype(np.int64).tolist())
+    start = _support(population, successes, draws)[0] + first
+    return start, 1 << (53 - low), tuple(accumulate(terms, initial=0))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -181,22 +132,27 @@ def hypergeom_lower_pvalue(population: int, successes: int, draws: int,
                            observed: int) -> float:
     """Pr(X <= observed): the lower-tailed significance of a slice.
 
+    Each part, the masses up to ``observed`` and those above it, is its
+    exact integer sum over ``unit``, a power of two.  CPython's int true
+    division is correctly rounded, half to even and subnormal results
+    included, so each part is the float nearest its exact sum: the one
+    ``math.fsum`` returns over the same masses.
+
     Memoised: slices with the same support and correct count share one tail
     sum.  Invalid arguments raise ``ValueError`` on every call.  Valid ones
     put ``observed`` inside the support, and the lower sum never exceeds
     the full one, so the quotient needs no clamp.
     """
     _validate_params(population, successes, draws, observed)
-    lo, hi = _support(population, successes, draws)
-    if observed >= hi:
+    if observed >= _support(population, successes, draws)[1]:
         return 1.0
-    u, peak = _masses(population, successes, draws)
-    split = observed - lo + 1
-    lower = _exact_sum(u, peak, 0, split)
-    return lower / (lower + _exact_sum(u, peak, split, len(u)))
+    start, unit, sums = _prefix_sums(population, successes, draws)
+    below = sums[min(max(observed + 1 - start, 0), len(sums) - 1)]
+    lower = below / unit
+    return lower / (lower + (sums[-1] - below) / unit)
 
 
-def wilson_interval(successes: int, trials: int, level: float = 0.95) -> ConfidenceInterval:
+def wilson_interval(successes: int, trials: int, level: float) -> ConfidenceInterval:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("wilson_interval requires at least one trial")

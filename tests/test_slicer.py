@@ -25,9 +25,10 @@ from sliceminer.slicer import (AnalysisConfig, _rank, _split_around,
 
 # admits every candidate with two or more members
 EVERYTHING = Filters(min_support=2, perf_threshold=1.0, p_value_max=0.05)
-from sliceminer.stats import _masses, hypergeom_lower_pvalue
+from sliceminer.stats import _prefix_sums, hypergeom_lower_pvalue
 from tests.conftest import dataset_from_columns
 from tests.test_golden import load_fixtures
+from tests.test_stats import fsum_tail
 
 
 def summary_of(n, k, ci_low=0.0, ci_high=1.0):
@@ -627,10 +628,29 @@ class TestRunAnalysis:
         monkeypatch.setattr("sliceminer.slicer.evaluate_slice",
                             recording_evaluate)
         hypergeom_lower_pvalue.cache_clear()
-        _masses.cache_clear()
+        _prefix_sums.cache_clear()
         run_analysis(ds, AnalysisConfig(max_order=2))
-        builds = _masses.cache_info().misses
+        builds = _prefix_sums.cache_info().misses
         assert len(asked) <= builds <= len(asked) + len(trees)
+
+    def test_every_tail_of_a_run_is_the_fsum_tail(self, tmp_path,
+                                                  monkeypatch):
+        data = tmp_path / "data.csv"
+        load_fixtures().write_planted(str(data), 2000, 1)
+        ds = load_table(str(data), IngestConfig("label", "pred"))
+        tails = []
+        pvalue = hypergeom_lower_pvalue
+
+        def recording_pvalue(*args):
+            tails.append((args, pvalue(*args)))
+            return tails[-1][1]
+
+        monkeypatch.setattr("sliceminer.slicer.hypergeom_lower_pvalue",
+                            recording_pvalue)
+        run_analysis(ds, AnalysisConfig(max_order=2))
+        assert len(tails) == 3_612
+        for args, p in tails:
+            assert p == fsum_tail(*args), args
 
     def test_each_tail_summed_once(self, tmp_path, monkeypatch):
         ds = random_dataset(tmp_path, 5)

@@ -127,7 +127,7 @@ def fsum_tail(population: int, successes: int, draws: int,
 @st.composite
 def skewed_params(draw):
     """Populations up to 100k, mostly with at least 90% successes: long
-    supports whose far masses fall below the certificate's cut."""
+    supports whose far masses underflow to zero."""
     population = draw(st.integers(2, 100_000))
     successes = draw(st.one_of(
         st.integers(math.ceil(0.9 * population), population),
@@ -138,11 +138,6 @@ def skewed_params(draw):
     observed = draw(st.one_of(st.integers(lo, hi),
                               st.integers(lo, min(hi, lo + 50))))
     return population, successes, draws, observed
-
-
-def exact_sum(masses: tuple[float, ...]) -> float:
-    """``stats._exact_sum`` over the whole of a unimodal sequence."""
-    return stats._exact_sum(masses, masses.index(max(masses)), 0, len(masses))
 
 
 class TestCertifiedTail:
@@ -178,103 +173,105 @@ class TestCertifiedTail:
                                  observed) == want
         assert tiny > 10
 
-    @pytest.fixture()
-    def fsum_calls(self, monkeypatch):
-        calls = []
-        fsum = math.fsum
-
-        def counting(terms):
-            calls.append(len(terms))
-            return fsum(terms)
-
-        monkeypatch.setattr(math, "fsum", counting)
-        return calls
-
-    def test_nothing_dropped_is_one_sum(self, fsum_calls):
-        masses = (0.25, 1.0, 0.5, 2.0 ** -70)
-        assert exact_sum(masses) == 1.75 + 2.0 ** -70
-        assert fsum_calls == [4]
-
-    def test_certified_sum_skips_the_dropped_terms(self, fsum_calls):
-        masses = (2.0 ** -90,) * 100 + (1.0, 0.5) + (1e-40,) * 100
-        assert exact_sum(masses) == math.fsum(masses) == 1.5
-        assert fsum_calls[:2] == [2, 3]  # kept terms, then kept and bound
-        assert len(fsum_calls) == 3  # the third is the check above
-
-    @pytest.mark.parametrize("kept", [(0.5, 0.5), (0.5, 0.5 - 2.0 ** -54)])
-    def test_power_of_two_sum_certifies(self, kept, fsum_calls):
-        # the second kept sum ties half-way below 1.0 and rounds up to it;
-        # dropped terms only add, so 1.0 stays the rounded total
-        masses = kept + (2.0 ** -100, 0.0)
-        assert exact_sum(masses) == 1.0 == math.fsum(masses)
-        assert fsum_calls[:2] == [2, 3]
-
-    def test_subnormal_cut_still_certifies(self, fsum_calls):
-        masses = (2.0 ** -1074, 2.0 ** -990, 0.0)  # cut 2**-1070
-        assert exact_sum(masses) == 2.0 ** -990
-        assert fsum_calls == [1, 2]
-        assert math.fsum(masses) == 2.0 ** -990
-
-    def test_tie_broken_by_a_dropped_term_falls_back(self, fsum_calls):
-        # the kept terms round to 1.0 on a tie, and one dropped term
-        # breaks it: the full sum rounds up, so the kept sum would be wrong
-        masses = (1.0, 2.0 ** -53, 2.0 ** -100)
-        got = exact_sum(masses)
-        assert fsum_calls == [2, 3, 3]
-        assert got == 1.0 + 2.0 ** -52 == math.fsum(masses)
-
-    @pytest.mark.parametrize("start, stop, kept", [
-        (0, 4, 2),   # rising flank only: the part's largest term is its end
-        (5, 9, 3),   # falling flank only: its start
-        (1, 8, 4),   # around the peak: the peak
-        (4, 5, 1)])  # the peak alone
-    def test_kept_run_found_on_each_flank(self, start, stop, kept,
-                                          fsum_calls):
-        # 1.5 * 2**-80 and 2**-80 are kept under the cut of their own
-        # flank's part and dropped under the peak's 2**-79
-        masses = (2.0 ** -200, 2.0 ** -85, 1.5 * 2.0 ** -80, 1.0, 2.0, 0.75,
-                  2.0 ** -60, 2.0 ** -80, 2.0 ** -150)
-        got = stats._exact_sum(masses, 4, start, stop)
-        assert fsum_calls[0] == kept
-        assert got == math.fsum(masses[start:stop])
-
-    def test_no_peak_sums_every_term(self, fsum_calls):
-        # masses whose flanks failed their check: nothing may be dropped
-        masses = (1.0, 2.0 ** -100, 1.0)
-        assert stats._exact_sum(masses, None, 0, 3) == 2.0 + 2.0 ** -100
-        assert fsum_calls == [3]
-
-    def test_masses_are_read_only(self):
-        built = stats._masses(300, 230, 21)
-        masses, peak = built
-        assert isinstance(masses, tuple) and len(masses) == 22
-        assert masses[peak] == max(masses)
-        assert stats._masses(300, 230, 21) is built
-
-    @settings(max_examples=300, deadline=None)
-    @given(skewed_params())
-    def test_masses_rise_to_the_peak_and_fall_after(self, params):
-        masses, peak = stats._masses(*params[:3])
-        assert peak is not None
-        assert all(a <= b for a, b in zip(masses[:peak], masses[1:peak + 1]))
-        assert all(a >= b for a, b in zip(masses[peak:], masses[peak + 1:]))
-
     def test_peak_is_checked_above_exact_products(self):
-        # beyond 94,906,265 records the factors' products may round, so the
-        # flanks are checked rather than assumed; these pass the check
+        # beyond 94,906,265 records the factors' integer products may round
         args = 10 ** 9, 6 * 10 ** 8, 40
-        masses, peak = stats._masses(*args)
-        assert masses[peak] == max(masses)
         for observed in range(41):
             assert uncached_tail(*args, observed) == fsum_tail(*args, observed)
 
 
+@pytest.fixture()
+def given_masses(monkeypatch):
+    """Sets the masses of draw count ``len(masses) - 1`` (population twice
+    that, half of it successes, so the support starts at 0) and returns
+    those arguments; the memo of built sums is emptied around each use."""
+    def set_masses(masses):
+        monkeypatch.setattr(stats, "_masses", lambda *_: np.array(masses))
+        stats._prefix_sums.cache_clear()
+        draws = len(masses) - 1
+        return 2 * draws, draws, draws
+    yield set_masses
+    stats._prefix_sums.cache_clear()
+
+
+def fsum_parts_tail(masses, split: int) -> float:
+    """``fsum_tail``'s quotient over given masses, split before ``split``."""
+    lower = math.fsum(masses[:split])
+    return lower / (lower + math.fsum(masses[split:]))
+
+
+class TestExactSums:
+    """Each part is its exact integer sum, rounded once to nearest even."""
+
+    @pytest.mark.parametrize("masses, total", [
+        ((1.0, 2.0 ** -53), 1.0),  # a tie rounds to the even 1.0
+        ((1.0, 2.0 ** -53, 2.0 ** -100), 1.0 + 2.0 ** -52),  # no tie
+        ((1.0, 3 * 2.0 ** -53), 1.0 + 2.0 ** -51),  # a tie rounds up to even
+        ((2.0 ** -100, 1.0, 2.0 ** -53), 1.0 + 2.0 ** -52)])
+    def test_ties_to_even(self, masses, total, given_masses):
+        args = given_masses(masses)
+        start, unit, sums = stats._prefix_sums.__wrapped__(*args)
+        assert sums[-1] / unit == total == math.fsum(masses)
+        for split in range(1, len(masses)):
+            assert (uncached_tail(*args, split - 1)
+                    == fsum_parts_tail(masses, split))
+
+    @pytest.mark.parametrize("masses, observed, tail", [
+        ((2.0 ** -1074, 3 * 2.0 ** -1074, 1.0, 2.0 ** -1073), 0,
+         2.0 ** -1074),  # a subnormal part
+        ((2.0 ** -1074, 3 * 2.0 ** -1074, 1.0, 2.0 ** -1073), 1,
+         2.0 ** -1072),
+        ((3 * 2.0 ** -1074, 1.0, 1.0), 0, 2.0 ** -1073),  # 1.5 ulp, to even
+        ((5 * 2.0 ** -1074, 2.0 ** -1022, 1.0), 1,
+         2.0 ** -1022 + 5 * 2.0 ** -1074)])  # crosses into normal floats
+    def test_subnormal_results(self, masses, observed, tail, given_masses):
+        args = given_masses(masses)
+        assert uncached_tail(*args, observed) == tail
+        for split in range(1, len(masses)):
+            assert (uncached_tail(*args, split - 1)
+                    == fsum_parts_tail(masses, split))
+
+    @pytest.mark.parametrize("masses, start, kept", [
+        ((0.0, 0.0, 2.0 ** -60, 1.0, 0.5, 0.0, 0.0), 2, 3),
+        ((0.0, 2.0 ** -60, 1.0, 0.5), 1, 3),
+        ((2.0 ** -60, 1.0, 0.5, 0.0, 0.0), 0, 3)])
+    def test_zero_masses_trimmed_at_either_end(self, masses, start, kept,
+                                               given_masses):
+        args = given_masses(masses)
+        built = stats._prefix_sums.__wrapped__(*args)
+        assert built[0] == start and len(built[2]) == kept + 1
+        # the split falls before the first nonzero mass or after the last
+        for observed in range(start):
+            assert uncached_tail(*args, observed) == 0.0
+        for observed in range(start + kept - 1, len(masses) - 1):
+            assert uncached_tail(*args, observed) == 1.0
+        for split in range(1, len(masses)):
+            assert (uncached_tail(*args, split - 1)
+                    == fsum_parts_tail(masses, split))
+
+    def test_real_masses_underflow_at_the_far_end(self):
+        args = 20_000, 18_500, 3_000  # the support starts at 1,500
+        start, unit, sums = stats._prefix_sums(*args)
+        assert start > 1_500 and len(sums) - 1 < 1_501
+        for observed in (1_500, start - 1, start, start + 1):
+            assert uncached_tail(*args, observed) == fsum_tail(*args,
+                                                               observed)
+
+    def test_one_shared_read_only_memo(self):
+        built = stats._prefix_sums(300, 230, 21)
+        start, unit, sums = built
+        assert isinstance(built, tuple) and isinstance(sums, tuple)
+        assert (start, len(sums)) == (0, 23)  # 22 masses after a leading 0
+        assert stats._prefix_sums(300, 230, 21) is built
+        assert sums[-1] / unit == math.fsum(stats._masses(300, 230, 21))
+
+
 class TestWilson:
     def test_zero_successes_low_bound(self):
-        assert wilson_interval(0, 10).low == 0.0
+        assert wilson_interval(0, 10, 0.95).low == 0.0
 
     def test_all_successes_high_bound(self):
-        assert wilson_interval(10, 10).high == 1.0
+        assert wilson_interval(10, 10, 0.95).high == 1.0
 
     def test_statlog_scale_interval(self):
         # hand recomputation with z = 1.959964:
