@@ -9,7 +9,8 @@ and lies in 1..3, and a slice's correct count never exceeds its support.
 ``_make`` (and ``_replace``, which goes through it) skips the checks, so
 only builders whose inputs satisfy them by construction use it:
 ``slicer._condition`` inserts a name the seed lacks into the seed's sorted
-predicates and checks the order bound once per call; the tree loop of
+predicates, checks the order bound once per call and builds each
+one-code ``ValueSet`` the same way; the tree loop of
 ``slicer.generate_higher_order`` takes ``dtree.extract_slices``' sorted
 keys over a tree's 1-3 features; ``slicer.evaluate_slice`` and
 ``slicer.run_analysis`` build stats whose correct count counts members.
@@ -82,7 +83,13 @@ class ValueSet(_ValueSetFields):
             raise ValueError("codes must be strictly ascending")
 
     def contains(self, values: np.ndarray) -> np.ndarray:
-        return np.isin(values, np.asarray(self.codes))
+        """Mask of ``values`` equal to one of the codes; NaN equals none.
+        One code, as every conditioned category predicate has, is one
+        comparison, the loop ``np.isin`` runs for so few codes."""
+        codes = self.codes
+        if len(codes) == 1:
+            return values == codes[0]
+        return np.isin(values, np.asarray(codes))
 
 
 FeaturePredicate = Union[Interval, ValueSet]

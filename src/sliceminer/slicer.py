@@ -33,7 +33,7 @@ from . import dtree, hpd
 from .dataset import (ConfigError, Dataset, DatasetSummary, FeatureKind,
                       summarize)
 from .hpd import HpdConfig
-from .model import Filters, Heuristic, Slice, SliceStats, ValueSet
+from .model import Filters, Heuristic, Interval, Slice, SliceStats, ValueSet
 from .stats import hypergeom_lower_pvalue
 
 __all__ = [
@@ -179,7 +179,10 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
     there.  A candidate is returned only if it passes the support and
     performance gates and its predicate key is not yet in the registry
     ``counts``; its (support, correct) then go into ``counts`` under that
-    key."""
+    key.  Both checks come first, on the counts and on the key written
+    with plain tuples (equal to the records, and hashed alike), so only a
+    returned candidate builds its ``ValueSet`` or ``Interval``, key and
+    ``Slice``."""
     feature = dataset.features[name]
     categorical = feature.kind is FeatureKind.CATEGORICAL
     heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
@@ -200,17 +203,20 @@ def _condition(dataset: Dataset, mask: np.ndarray | None, base: tuple,
         support = np.bincount(codes)
         hits = np.bincount(codes[correct[present]], minlength=support.size)
         found = np.flatnonzero(support).tolist()
-        predicates = [ValueSet((code,)) for code in found]
+        fields = [((code,),) for code in found]  # each ValueSet's fields
         support, hits = support[found].tolist(), hits[found].tolist()
+        make = ValueSet._make
     else:
-        predicates, support, hits = hpd.hpd_scan(values, correct, config.hpd)
+        lows, highs, support, hits = hpd.hpd_scan(values, correct, config.hpd)
+        fields = zip(lows, highs)  # each Interval's fields
+        make = Interval._make
+    admits = filters.admits
     kept = []
-    for pred, n, k in zip(predicates, support, hits):
-        if filters.admits(n, k):
-            key = before + ((name, pred),) + after
-            if key not in counts:
-                counts[key] = n, k
-                kept.append(Slice._make((key, heuristic, order)))
+    for plain, n, k in zip(fields, support, hits):
+        if admits(n, k) and before + ((name, plain),) + after not in counts:
+            key = before + ((name, make(plain)),) + after
+            counts[key] = n, k
+            kept.append(Slice._make((key, heuristic, order)))
     return kept
 
 

@@ -58,12 +58,18 @@ def recount(values: np.ndarray, correctness: np.ndarray, interval: Interval):
     return int(member.sum()), int(correctness[member].sum())
 
 
+def scan(values, correctness, config):
+    """``hpd_scan``'s bounds as intervals, with their counts."""
+    lows, highs, support, hits = hpd_scan(values, correctness, config)
+    return [Interval(*pair) for pair in zip(lows, highs)], support, hits
+
+
 class TestHpdScan:
     def test_all_correct_yields_nothing(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 1, 500)
         assert hpd_scan(values, np.ones(500, dtype=bool), HpdConfig()) == (
-            [], [], [])
+            [], [], [], [])
 
     def test_planted_band_recovered(self):
         # seed fixes a draw with ~50 records inside the faulty band
@@ -71,7 +77,7 @@ class TestHpdScan:
         values = rng.uniform(0.0, 1.0, 1000)
         band = (values >= 0.40) & (values <= 0.45)
         correctness = ~band
-        out, _, _ = hpd_scan(values, correctness, HpdConfig())
+        out, _, _ = scan(values, correctness, HpdConfig())
         hits = []
         for iv in out:
             n, k = recount(values, correctness, iv)
@@ -85,7 +91,7 @@ class TestHpdScan:
         b1 = (values >= 0.10) & (values <= 0.12)
         b2 = (values >= 0.80) & (values <= 0.82)
         correctness = ~(b1 | b2)
-        out, _, _ = hpd_scan(values, correctness, HpdConfig())
+        out, _, _ = scan(values, correctness, HpdConfig())
 
         def has_error(iv):
             n, k = recount(values, correctness, iv)
@@ -102,7 +108,7 @@ class TestHpdScan:
         rng = np.random.default_rng(12)
         values = rng.normal(size=800)
         correctness = rng.random(800) < 0.8
-        out, support, correct = hpd_scan(values, correctness, HpdConfig())
+        out, support, correct = scan(values, correctness, HpdConfig())
         assert out
         assert len(support) == len(correct) == len(out)
         for iv, n, k in zip(out, support, correct):
@@ -115,8 +121,8 @@ class TestHpdScan:
         rng = np.random.default_rng(21)
         values = rng.uniform(0, 10, 600)
         correctness = rng.random(600) < 0.7
-        first = hpd_scan(values, correctness, HpdConfig())
-        second = hpd_scan(values, correctness, HpdConfig())
+        first = scan(values, correctness, HpdConfig())
+        second = scan(values, correctness, HpdConfig())
         assert first == second
 
     def test_missing_values_ignored(self):
@@ -124,7 +130,7 @@ class TestHpdScan:
                            7.0, 8.0, 9.0, 10.0])
         correctness = np.zeros(12, dtype=bool)
         correctness[1] = True
-        out, support, correct = hpd_scan(values, correctness, HpdConfig())
+        out, support, correct = scan(values, correctness, HpdConfig())
         finite = np.isfinite(values)
         for iv, n, k in zip(out, support, correct):
             assert iv.low in values[finite] and iv.high in values[finite]
@@ -134,7 +140,7 @@ class TestHpdScan:
     def test_fewer_than_two_values_empty(self):
         out = hpd_scan(np.array([np.nan, 3.0]), np.array([True, False]),
                        HpdConfig())
-        assert out == ([], [], [])
+        assert out == ([], [], [], [])
 
 
 def reference_shortest_interval(values, proportion):
@@ -256,7 +262,7 @@ class TestIndexSpaceScan:
     @given(samples(), st.sampled_from(CONFIGS))
     def test_matches_value_space_reference(self, sample, config):
         values, correct = sample
-        intervals, support, hits = hpd_scan(values, correct, config)
+        intervals, support, hits = scan(values, correct, config)
         assert bounds(intervals) == bounds(
             reference_hpd_scan(values, correct, config))
         # each interval's counts are its members in the whole sample
@@ -269,12 +275,49 @@ class TestIndexSpaceScan:
         # many restarts over long runs: the carried run offsets and prefix
         # sums must still locate every interval's members
         values, correct = tied_sample(rows, seed=rows)
-        intervals, support, hits = hpd_scan(values, correct, config)
+        intervals, support, hits = scan(values, correct, config)
         assert intervals
         assert bounds(intervals) == bounds(
             reference_hpd_scan(values, correct, config))
         assert [recount(values, correct, iv) for iv in intervals] == list(
             zip(support, hits))
+
+    @pytest.mark.parametrize("rows", [100, 180, 260, 400])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_restarts_cross_from_array_to_list_cut(self, rows, config):
+        # a few values in runs of up to dozens: the first working samples
+        # are long and cut as arrays, the last short and cut as lists
+        rng = np.random.default_rng(rows)
+        pool = np.round(rng.normal(0.0, 1.0, 12), 1)
+        values = rng.choice(pool, rows, p=rng.dirichlet(np.ones(12)))
+        correct = rng.random(rows) < np.where(values > 0.3, 0.5, 0.9)
+        arrays = []  # per search: whether the sample was still an array
+
+        def search(values, bound, lo, hi, m):
+            arrays.append(values is not None)
+            return min_width_window(values, bound, lo, hi, m)
+
+        with mock.patch.object(hpd, "min_width_window", search):
+            intervals, support, hits = scan(values, correct, config)
+        assert bounds(intervals) == bounds(
+            reference_hpd_scan(values, correct, config))
+        assert [recount(values, correct, iv) for iv in intervals] == list(
+            zip(support, hits))
+        # the array searches all come before the list searches
+        assert arrays == sorted(arrays, reverse=True)
+        if config == HpdConfig():
+            # 100 records are short from the start: the first shrink step's
+            # search over all of them has 100 - 85 + 1 = 16 windows
+            assert (True in arrays, False in arrays) == (rows > 100, True)
+
+    @pytest.mark.parametrize("rows", [40, 300, 5000])
+    def test_bounds_are_floats_and_counts_ints(self, rows):
+        # a numpy scalar would print as np.float64(...) in the report
+        values, correct = tied_sample(rows, seed=rows)
+        lows, highs, support, hits = hpd_scan(values, correct, HpdConfig())
+        assert lows
+        assert {type(x) for x in lows + highs} == {float}
+        assert {type(x) for x in support + hits} == {int}
 
     def test_window_end_inside_a_run_takes_the_whole_run(self):
         # the first window is records 1..5, all 1.0, but its interval [1, 1]
@@ -287,7 +330,7 @@ class TestIndexSpaceScan:
         correct = np.array([True, True, False, False, False, False, False,
                             True, True, False])
         config = HpdConfig(0.5, 0.2, 0.05)
-        got, support, hits = hpd_scan(values, correct, config)
+        got, support, hits = scan(values, correct, config)
         assert got == [Interval(7.0, 7.0)]
         assert (support, hits) == ([1], [0])
         assert got == reference_hpd_scan(values, correct, config)
@@ -433,22 +476,28 @@ class TestWindowBranches:
     def test_large_ranges_take_numpy(self):
         # counts, not timing: a loop over thousands of windows is slower
         # than one numpy call
-        searches = []  # (windows, read the list, read the array)
+        # (windows, had an array, read the list, read the array)
+        searches = []
 
         def observed(array, bound, lo, hi, m):
-            array, bound = Reads(array), Reads(bound)
+            # a short working sample has no array: it always loops
+            array = None if array is None else Reads(array)
+            bound = Reads(bound)
             j = min_width_window(array, bound, lo, hi, m)
-            searches.append((hi - lo - m + 1, bound.reads > 0,
-                             array.reads > 0))
+            long = array is not None
+            searches.append((hi - lo - m + 1, long, bound.reads > 0,
+                             long and array.reads > 0))
             return j
 
         values, correct = tied_sample(20_000, seed=1)
         with mock.patch.object(hpd, "min_width_window", observed):
             hpd_scan(values, correct, HpdConfig())
-        for windows, read_list, read_array in searches:
+        for windows, long, read_list, read_array in searches:
             assert (read_list, read_array) == (
-                (False, True) if windows > LOOP_WINDOWS else (True, False))
-        assert any(windows > LOOP_WINDOWS for windows, _, _ in searches)
+                (False, True) if long and windows > LOOP_WINDOWS
+                else (True, False))
+        assert any(long and windows > LOOP_WINDOWS
+                   for windows, long, _, _ in searches)
 
 
 class TestHpdConfig:

@@ -171,3 +171,14 @@ def test_filters_equal_hash_and_copy_by_value():
     assert pickle.loads(pickle.dumps(filters)) == filters
     assert repr(filters) == ("Filters(min_support=2, perf_threshold=0.5, "
                              "p_value_max=0.05)")
+
+
+@pytest.mark.parametrize("codes", [(0,), (2,), (3,), (7,), (0, 2), (1, 2, 3)])
+def test_value_set_mask_is_the_isin_mask(codes):
+    # present codes, an absent one (7) and NaN cells (missing values)
+    values = np.array([0.0, 1.0, 2.0, np.nan, 3.0, 2.0, np.nan, 0.0, 1.0])
+    got = ValueSet(codes).contains(values)
+    want = np.isin(values, np.asarray(codes))
+    assert got.dtype == bool and got.shape == values.shape
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [v in codes for v in values.tolist()]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceminer import dtree
+from sliceminer import dtree, hpd, slicer
 from sliceminer.dataset import (Dataset, DatasetSummary, Feature, FeatureKind,
                                 IngestConfig, load_table, summarize)
 from sliceminer.hpd import HpdConfig
@@ -949,3 +950,171 @@ class TestMatchesEvaluatingEveryKey:
         assert result.reported
         assert (result.reported, result.candidate_counts,
                 result.reported_counts) == evaluate_every_key(ds, config)
+
+
+def reference_condition(dataset, mask, base, name, config, filters, counts):
+    """``_condition`` built the other way round: every candidate's
+    predicate, key and slice first (through the checking constructors),
+    then the support and performance gates and the registry."""
+    feature = dataset.features[name]
+    categorical = feature.kind is FeatureKind.CATEGORICAL
+    heuristic = Heuristic.CATEGORICAL if categorical else Heuristic.HPD
+    if heuristic not in config.heuristics:
+        return []
+    values, correct = feature.values, dataset.correctness
+    if mask is not None:
+        values, correct = values[mask], correct[mask]
+    if categorical:
+        codes = sorted({int(v) for v in values.tolist() if v == v})
+        predicates = [ValueSet((code,)) for code in codes]
+        support = [int(np.count_nonzero(values == code)) for code in codes]
+        hits = [int(np.count_nonzero(correct & (values == code)))
+                for code in codes]
+    else:
+        lows, highs, support, hits = hpd.hpd_scan(values, correct, config.hpd)
+        predicates = [Interval(low, high) for low, high in zip(lows, highs)]
+    candidates = []
+    for pred, n, k in zip(predicates, support, hits):
+        key = tuple(sorted(base + ((name, pred),)))
+        candidates.append((Slice(key, heuristic, len(key)), n, k))
+    kept = []
+    for sl, n, k in candidates:
+        if filters.admits(n, k) and sl.predicates not in counts:
+            counts[sl.predicates] = n, k
+            kept.append(sl)
+    return kept
+
+
+class Construction:
+    """Stands in for a predicate record in ``slicer``: counts the records
+    built through it, whether called or through ``_make``."""
+
+    def __init__(self, cls):
+        self.cls, self.built = cls, 0
+
+    def __call__(self, *args):
+        self.built += 1
+        return self.cls(*args)
+
+    def _make(self, fields):
+        self.built += 1
+        return self.cls._make(fields)
+
+
+class TestGateFirst:
+    """``_condition`` gates each candidate on its counts and probes the
+    registry with a key of plain tuples before it builds the predicate
+    record, key and slice; the result must be that of building every
+    candidate first.  Slices and registries are compared by ``repr``, which
+    names each record's class: a plain ``(low, high)`` tuple equals an
+    ``Interval`` but must never reach a slice or the registry."""
+
+    CONFIG = TestCountedInsideTheSeed.CONFIG
+
+    @staticmethod
+    def both(dataset, mask, base, name, config, filters, counts):
+        """``_condition`` and the reference on copies of ``counts``, each
+        result with the registry it left, plus the records ``_condition``
+        built."""
+        fast, slow = dict(counts), dict(counts)
+        spies = Construction(Interval), Construction(ValueSet)
+        with mock.patch.object(slicer, "Interval", spies[0]), \
+                mock.patch.object(slicer, "ValueSet", spies[1]):
+            got = slicer._condition(dataset, mask, base, name, config,
+                                    filters, fast)
+        want = reference_condition(dataset, mask, base, name, config, filters,
+                                   slow)
+        return (repr(got), repr(list(fast.items()))), (
+            repr(want), repr(list(slow.items()))), got, sum(
+                spy.built for spy in spies)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dataset=mixed_datasets(),
+           threshold=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+           min_support=st.integers(2, 5))
+    def test_matches_building_every_candidate(self, data, dataset, threshold,
+                                              min_support):
+        names = dataset.feature_names
+        seed_names = data.draw(st.lists(st.sampled_from(names), min_size=0,
+                                        max_size=min(2, len(names) - 1),
+                                        unique=True))
+        chosen = {name: seed_predicate(data.draw, dataset.features[name])
+                  for name in seed_names}
+        base = tuple(sorted(chosen.items()))
+        mask = membership(dataset, Slice(base, Heuristic.CATEGORICAL,
+                                         len(base))) if base else None
+        filters = Filters(min_support=min_support, perf_threshold=threshold,
+                          p_value_max=0.05)
+        for name in names:
+            if name in chosen:
+                continue
+            # some of the keys the feature yields are in the registry already
+            every = reference_condition(dataset, mask, base, name,
+                                        self.CONFIG, EVERYTHING, {})
+            known = data.draw(st.lists(st.sampled_from(every), unique=True)
+                              if every else st.just([]))
+            counts = {sl.predicates: (0, 0) for sl in known}
+            got, want, kept, built = self.both(dataset, mask, base, name,
+                                               self.CONFIG, filters, counts)
+            assert got == want
+            assert built == len(kept)
+
+    @pytest.mark.parametrize("seed", [5, 99])
+    def test_conditioning_rounds_match(self, tmp_path, seed):
+        # every seed of a real one-way round, on every other feature, with
+        # one registry growing across the calls as in a run
+        dataset = holey_dataset(tmp_path, seed)
+        config = AnalysisConfig()
+        filters = resolve_filters(summarize(dataset, 0.95), config)
+        counts = {}
+        seeds = generate_one_way(dataset, config, filters, counts)
+        assert seeds
+        calls = built = 0
+        for seed_slice in seeds:
+            mask = membership(dataset, seed_slice)
+            for name in dataset.feature_names:
+                if name in seed_slice.features:
+                    continue
+                got, want, kept, made = self.both(
+                    dataset, mask, seed_slice.predicates, name, config,
+                    filters, counts)
+                assert got == want
+                assert made == len(kept)
+                calls, built = calls + 1, built + made
+                for sl in kept:
+                    counts[sl.predicates] = None
+        assert calls > 10 and built > 0
+
+    @pytest.mark.parametrize("name", ["cat1", "x"])
+    def test_all_rejected_builds_nothing(self, tmp_path, name):
+        dataset = holey_dataset(tmp_path, 3)
+        # no slice is as large as the table
+        filters = Filters(min_support=dataset.n_records + 1,
+                          perf_threshold=1.0, p_value_max=0.05)
+        got, want, kept, built = self.both(dataset, None, (), name,
+                                           AnalysisConfig(), filters, {})
+        assert got == want
+        assert (kept, built) == ([], 0)
+
+    @pytest.mark.parametrize("name", ["cat1", "x"])
+    def test_empty_sample_builds_nothing(self, tmp_path, name):
+        dataset = holey_dataset(tmp_path, 3)
+        mask = np.zeros(dataset.n_records, dtype=bool)
+        got, want, kept, built = self.both(dataset, mask, (("cat2", ValueSet(
+            (0,))),), name, AnalysisConfig(), EVERYTHING, {})
+        assert got == want
+        assert (kept, built) == ([], 0)
+
+    @pytest.mark.parametrize("name", ["cat1", "x"])
+    def test_key_in_registry_builds_nothing(self, tmp_path, name):
+        dataset = holey_dataset(tmp_path, 3)
+        first = slicer._condition(dataset, None, (), name, AnalysisConfig(),
+                                  EVERYTHING, {})
+        assert first
+        # every key is known but the last: only that one is built
+        counts = {sl.predicates: (0, 0) for sl in first[:-1]}
+        got, want, kept, built = self.both(dataset, None, (), name,
+                                           AnalysisConfig(), EVERYTHING,
+                                           counts)
+        assert got == want
+        assert kept == first[-1:] and built == 1
