@@ -15,25 +15,25 @@ values therefore stands for an interval holding the whole run, more than
 those members.
 
 The scan works on index ranges of the sorted working sample, held as
-Python lists: its values, each record's offsets to the first and
-past-the-last record of its run, and the prefix sums of correctness.  A
-restart drops whole runs, so the run offsets never change: they are
-computed once per scan and cut in place.  The current interval always
-starts and ends on run bounds, so a shrink step whose target count is at
-least the interval's records keeps it as it is and emits nothing; such a
-step only lowers the density, with no window search.  Likewise a first
-window of the whole working sample needs no search.  Most searches span
-only a few windows; those run in a loop over the values list, where
-numpy's call overhead would cost more than the loop.  Longer ranges are
-searched with numpy, so a long working sample also keeps its values and
-prefix sums as arrays: a restart cuts those with numpy (the prefix sums
-past the cut less the dropped records' count) and takes the prefix sums
-list from them.  A sample short enough that even its first shrink step's
-search over all of it loops drops the arrays: every later search loops,
-and each restart cuts and shifts only the lists, which at that size costs
-less than numpy's calls.  The scan emits plain bounds, no interval
-records, and counts each interval's members on the sorted sample it
-started from.
+Python lists: its values, each record's offset to the past-the-last record
+of its run, and the prefix sums of correctness.  A restart drops whole
+runs, so the run offsets never change: they are computed once per scan and
+cut in place, and the prefix sums are rebuilt with those past the cut less
+the dropped records' count.  The current interval always starts and ends
+on run bounds.  Its start needs no widening: a search over a range that
+starts on a run start returns a window that starts on one too, since the
+window one record to its left in the same run would be no wider and the
+leftmost tie wins.  So a shrink step whose target count is at least the
+interval's records keeps it as it is and emits nothing; such a step only
+lowers the density, with no window search.  Likewise a first window of
+the whole working sample needs no search.  Most searches span only a few
+windows; those run in a loop over the values list, where numpy's call
+overhead would cost more than the loop.  Longer ranges are searched with
+numpy, so a long working sample also keeps its values as an array, cut
+with numpy at each restart.  A sample short enough that even its first
+shrink step's search over all of it loops drops the array, and every later
+search loops.  The scan emits plain bounds, no interval records, and counts
+each interval's members on the sorted sample it started from.
 """
 
 from __future__ import annotations
@@ -131,16 +131,16 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
     ranked = vals[order]
     original = ranked.size
     stop_records = min_density_floor * original
-    # record i's run of equal values is [i - behind[i], i + ahead[i]); a
-    # restart drops whole runs, so these offsets hold in every working sample
-    index = np.arange(original)
-    behind = (index - np.searchsorted(ranked, ranked, side="left")).tolist()
-    ahead = (np.searchsorted(ranked, ranked, side="right") - index).tolist()
+    # record i's run of equal values ends before i + ahead[i]; a restart
+    # drops whole runs, so these offsets hold in every working sample
+    ahead = (np.searchsorted(ranked, ranked, side="right")
+             - np.arange(original)).tolist()
     bound = ranked.tolist()
     # correct records before each index; a restart shifts those past the cut
     prefix = np.concatenate(([0], corr[order].cumsum()))
-    # the working sample as arrays too, until it is short
-    work_v, work_cum = ranked, prefix
+    cum = prefix.tolist()
+    # the working sample's values as an array too, until it is short
+    work_v = ranked
     lows: list[float] = []
     highs: list[float] = []
 
@@ -148,21 +148,22 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
     # a window wider than the float64 range is inf wide, of which numpy warns
     with np.errstate(over="ignore"):
         while n >= 2 and n >= stop_records:
-            if work_v is not None:
-                cum = work_cum.tolist()
-                if n - math.ceil(steps[0] * n) < _LOOP_WINDOWS:
-                    # short: the first shrink step's search over the whole
-                    # sample loops, so every later sample is cut as lists
-                    work_v = work_cum = None
+            if (work_v is not None
+                    and n - math.ceil(steps[0] * n) < _LOOP_WINDOWS):
+                # short: the first shrink step's search over the whole
+                # sample loops, and so does every later search
+                work_v = None
 
             # the shrink budget scales with how much of the original sample
             # is left
             density_floor = min_density_floor * (n / original)
-            m = min(math.ceil(initial_density * n), n)
+            # d * n rounds to at most n for d <= 1 and an integer n < 2**53
+            m = math.ceil(initial_density * n)
             # a window of the whole sample is the only one: no search
             j = min_width_window(work_v, bound, 0, n, m) if m < n else 0
             k = j + m
-            lo, hi = j - behind[j], k - 1 + ahead[k - 1]
+            # j starts a run (module docstring): only the end is widened
+            lo, hi = j, k - 1 + ahead[k - 1]
             acc = (cum[hi] - cum[lo]) / (hi - lo)
             for density in steps:
                 if density < density_floor:
@@ -174,9 +175,8 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
                     continue
                 j = min_width_window(work_v, bound, lo, hi, m)
                 k = j + m
-                inner_lo, inner_hi = j - behind[j], k - 1 + ahead[k - 1]
-                inner_acc = ((cum[inner_hi] - cum[inner_lo])
-                             / (inner_hi - inner_lo))
+                inner_hi = k - 1 + ahead[k - 1]
+                inner_acc = (cum[inner_hi] - cum[j]) / (inner_hi - j)
                 if inner_acc < acc - _TIE_TOLERANCE:
                     lows.append(bound[j])
                     highs.append(bound[k - 1])
@@ -187,17 +187,14 @@ def hpd_scan(values: np.ndarray, correctness: np.ndarray, config: HpdConfig
                     if k < hi:
                         lows.append(bound[k])
                         highs.append(bound[hi - 1])
-                lo, hi, acc = inner_lo, inner_hi, inner_acc
+                lo, hi, acc = j, inner_hi, inner_acc
             if lo == 0 and hi == n:
                 break
             dropped = cum[hi] - cum[lo]
-            if work_v is None:
-                cum[lo + 1:] = [c - dropped for c in cum[hi + 1:]]
-            else:
+            cum = cum[:lo + 1] + [c - dropped for c in cum[hi + 1:]]
+            if work_v is not None:
                 work_v = np.concatenate((work_v[:lo], work_v[hi:]))
-                work_cum = np.concatenate(
-                    (work_cum[:lo + 1], work_cum[hi + 1:] - dropped))
-            del bound[lo:hi], behind[lo:hi], ahead[lo:hi]
+            del bound[lo:hi], ahead[lo:hi]
             n -= hi - lo
     if not lows:
         return [], [], [], []

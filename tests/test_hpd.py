@@ -286,7 +286,8 @@ class TestIndexSpaceScan:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_restarts_cross_from_array_to_list_cut(self, rows, config):
         # a few values in runs of up to dozens: the first working samples
-        # are long and cut as arrays, the last short and cut as lists
+        # are long and keep a values array, cut with numpy at each restart;
+        # the last are short and keep only lists
         rng = np.random.default_rng(rows)
         pool = np.round(rng.normal(0.0, 1.0, 12), 1)
         values = rng.choice(pool, rows, p=rng.dirichlet(np.ones(12)))
@@ -423,6 +424,12 @@ OVERFLOWING = [-1.7e308 + 0.08e308 * i for i in range(10)] + [
     0.9e308 + 0.025e308 * i for i in range(30)]
 
 
+# a coarse grid (equal widths tie) with -0.0 beside 0.0; widths between the
+# two largest magnitudes overflow to inf
+GRID = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, 1e308,
+                        -1e308])
+
+
 @st.composite
 def window_ranges(draw):
     """A sorted sample and a range of it with a window size: exactly N and
@@ -433,11 +440,21 @@ def window_ranges(draw):
     m = draw(st.integers(1, 40))
     before, after = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     size = before + windows + m - 1 + after
-    # widths between the two largest magnitudes overflow to inf
-    grid = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, 1e308,
-                            -1e308])
-    values = sorted(draw(st.lists(grid, min_size=size, max_size=size)))
+    values = sorted(draw(st.lists(GRID, min_size=size, max_size=size)))
     return values, before, before + windows + m - 1, m
+
+
+@st.composite
+def run_start_ranges(draw):
+    """A sorted sample with runs of equal values, a range of it that starts
+    on a run start, and a window size."""
+    values = sorted(draw(st.lists(GRID, min_size=1,
+                                  max_size=3 * LOOP_WINDOWS)))
+    starts = [i for i in range(len(values))
+              if i == 0 or values[i - 1] < values[i]]
+    lo = draw(st.sampled_from(starts))
+    hi = draw(st.integers(lo + 1, len(values)))
+    return values, lo, hi, draw(st.integers(1, hi - lo))
 
 
 class TestWindowBranches:
@@ -461,6 +478,27 @@ class TestWindowBranches:
         want = min(range(lo, hi - m + 1),
                    key=lambda j: values[j + m - 1] - values[j])
         assert got == loop == vector == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_start_ranges())
+    @example((OVERFLOWING[:20], 0, 20, 11))
+    @example(([1.0] * 3 + [2.0] * 30, 3, 33, 4))
+    def test_range_from_a_run_start_gives_a_run_start(self, case):
+        """hpd_scan widens a window's end to its run's end but not its
+        start, and rests on this: a search over a range that starts on a
+        run start returns a window that starts on one too.  The window one
+        record to its left in the same run has the same low value and a
+        high value no larger, so it is no wider, and both branches keep the
+        leftmost tie, also where widths overflow to inf."""
+        values, lo, hi, m = case
+        array = np.array(values)
+        with np.errstate(over="ignore"):
+            with mock.patch.object(hpd, "_LOOP_WINDOWS", hi - lo):
+                loop = min_width_window(array, values, lo, hi, m)
+            with mock.patch.object(hpd, "_LOOP_WINDOWS", 0):
+                vector = min_width_window(array, values, lo, hi, m)
+        for j in (loop, vector):
+            assert j == lo or values[j - 1] < values[j]
 
     @pytest.mark.parametrize("windows, loop", [(LOOP_WINDOWS, True),
                                                (LOOP_WINDOWS + 1, False)])
